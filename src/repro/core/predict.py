@@ -17,10 +17,12 @@ computes for the same cell, because both call the same
 which is what makes a long-running service and the batch drivers
 interchangeable witnesses of the model.
 
-Every solve consults the content-addressed cache in :mod:`repro.perf`,
-so a served prediction is two dictionary lookups once warm; the batch
-entry point :func:`predict_sweep` pools cold cells through the lock-step
-kernel exactly like the sweep drivers do.
+Every solve consults the content-addressed flow cache in
+:mod:`repro.perf`.  Once warm, a served prediction still runs
+:func:`calibrate_profile`, fingerprints the fresh profile for the
+``flow_key``, then does two flow-cache lookups (the cell and its
+baseline); the batch entry point :func:`predict_sweep` pools cold cells
+through the lock-step kernel exactly like the sweep drivers do.
 """
 
 from __future__ import annotations
@@ -31,12 +33,7 @@ from repro import obs
 from repro.machine.allocation import CoreAllocation
 from repro.machine.topology import Machine
 from repro.runtime.calibration import calibrate_profile
-from repro.runtime.flow import (
-    FlowResult,
-    batch_solve_enabled,
-    solve_flow,
-    solve_flow_cells,
-)
+from repro.runtime.flow import FlowResult, solve_flow, solve_flow_cells
 from repro.util.validation import ValidationError, check_integer
 from repro.workloads.base import MemoryProfile
 
@@ -186,11 +183,10 @@ def predict_sweep(profile: MemoryProfile, machine: Machine,
     """Predict many allocations of one (profile, machine) in one batch.
 
     Cold cells — including the shared one-core baselines — are pooled
-    through the lock-step batch kernel when sweep batching is enabled,
-    so an allocation enumeration costs one batched fixed point rather
-    than ``2 * len(allocations)`` scalar solves.  Results are
-    bit-identical to per-cell :func:`predict` calls by the batch
-    kernel's own contract.
+    through one lock-step :func:`solve_flow_cells` call, so an
+    allocation enumeration costs one batched fixed point rather than
+    ``2 * len(allocations)`` one-cell solves.  Results are bit-identical
+    to per-cell :func:`predict` calls.
     """
     if not allocations:
         return []
@@ -202,10 +198,7 @@ def predict_sweep(profile: MemoryProfile, machine: Machine,
         + [(profile, machine, b) for b in baselines.values()]
     with obs.span("flow.solve_batch", machine=machine.name,
                   cells=len(cells)):
-        if batch_solve_enabled():
-            solved = solve_flow_cells(cells)
-        else:
-            solved = [solve_flow(p, m, a) for p, m, a in cells]
+        solved = solve_flow_cells(cells)
     flows = solved[:len(allocations)]
     base_flows = dict(zip(baselines.keys(), solved[len(allocations):]))
     return [

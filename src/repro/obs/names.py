@@ -47,8 +47,7 @@ PROF_CALLS_RECORDED = "prof.calls_recorded"
 PROF_FUNCTIONS_SEEN = "prof.functions_seen"
 PROF_WALL_SECONDS = "prof.wall_seconds"
 
-# -- sweep-batched solver kernel ----------------------------------------------
-PERF_BATCH_CELLS = "perf.batch.cells"
+# -- lock-step flow driver ----------------------------------------------------
 PERF_BATCH_FALLBACKS = "perf.batch.fallbacks"
 
 # -- queueing solvers ---------------------------------------------------------
@@ -81,9 +80,6 @@ SERVE_ERRORS = "serve.errors"
 SERVE_BAD_REQUESTS = "serve.bad_requests"
 SERVE_PREDICTIONS = "serve.predictions"
 SERVE_RECOMMENDATIONS = "serve.recommendations"
-SERVE_CACHE_HITS = "serve.cache.hits"
-SERVE_CACHE_MISSES = "serve.cache.misses"
-SERVE_CACHE_HIT_RATE = "serve.cache.hit_rate"
 SERVE_REQUEST_SECONDS = "serve.request_seconds"
 
 # -- service SLOs (burn-rate gauges; labels: objective=, window=) -------------

@@ -1,11 +1,11 @@
 """Fast-path performance layer: solver memoization and cache policy.
 
-``repro.perf`` holds the content-addressed caches that let repeated
-analytical solves — identical (machine, profile, allocation) triples in
-``runtime.flow`` and identical closed networks in ``qnet.mva`` — return
-previously computed results bit-identically instead of re-running the
-MVA recursions.  Hit/miss/eviction counters are mirrored into the
-``repro.obs`` telemetry session as ``perf.cache.<name>.*``.
+``repro.perf`` holds the content-addressed flow cache that lets repeated
+``runtime.flow`` solves of the same (machine, profile, active-core
+count) return previously computed results bit-identically instead of
+re-running the shadow fixed point.  Hit/miss/eviction counters are
+mirrored into the ``repro.obs`` telemetry session as
+``perf.cache.flow.*``.
 
 Disable with ``REPRO_PERF_CACHE=0`` or :func:`set_enabled`.
 """
@@ -18,10 +18,9 @@ from repro.perf.cache import (
     clear_caches,
     configure,
     flow_cache,
-    mva_cache,
     set_enabled,
 )
-from repro.perf.keys import fingerprint, flow_key, mva_key
+from repro.perf.keys import fingerprint, flow_key
 
 __all__ = [
     "MISS",
@@ -33,7 +32,5 @@ __all__ = [
     "fingerprint",
     "flow_cache",
     "flow_key",
-    "mva_cache",
-    "mva_key",
     "set_enabled",
 ]

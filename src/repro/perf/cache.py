@@ -1,19 +1,15 @@
-"""Bounded LRU memoization caches for the analytical solvers.
+"""The bounded LRU memoization cache of the flow solver.
 
-Two process-global caches back the fast path:
+One process-global cache backs the fast path: :data:`flow_cache` holds
+full ``runtime.flow`` solutions, keyed on the content hash of (machine,
+profile, active-core count).  It is enabled by default, bounded (LRU
+eviction) and observable: each lookup bumps local hit/miss counters,
+mirrored into the active telemetry session as
+``perf.cache.flow.hits`` / ``.misses`` / ``.evictions`` so BENCH
+records and run manifests show cache effectiveness alongside the
+solver-call counters it suppresses.
 
-* :data:`flow_cache` — full ``runtime.flow`` solutions, keyed on the
-  content hash of (machine, profile, allocation);
-* :data:`mva_cache` — closed-network solutions: ``ClosedNetwork.solve``
-  results and the flow solver's internal per-chain throughputs.
-
-Both are enabled by default, bounded (LRU eviction) and observable: each
-lookup bumps local hit/miss counters, mirrored into the active telemetry
-session as ``perf.cache.<name>.hits`` / ``.misses`` / ``.evictions`` so
-BENCH records and run manifests show cache effectiveness alongside the
-solver-call counters they suppress.
-
-Set ``REPRO_PERF_CACHE=0`` in the environment to disable both caches
+Set ``REPRO_PERF_CACHE=0`` in the environment to disable the cache
 (used by the regression gate to measure the uncached baseline), or call
 :func:`set_enabled` / :func:`clear_caches` programmatically.
 """
@@ -144,49 +140,40 @@ def _env_enabled() -> bool:
     return os.environ.get("REPRO_PERF_CACHE", "1") not in ("0", "false", "")
 
 
-#: Full flow solutions; one entry per (machine, profile, allocation).
+#: Full flow solutions; one entry per (machine, profile, active cores).
 flow_cache = MemoCache("flow", maxsize=4096, enabled=_env_enabled())
-#: Closed-network solutions (MVA results and per-chain throughputs).
-mva_cache = MemoCache("mva", maxsize=32768, enabled=_env_enabled())
-
-_ALL = (flow_cache, mva_cache)
 
 
 def set_enabled(flag: bool) -> None:
-    """Enable or disable both solver caches (disabling also clears them)."""
-    for cache in _ALL:
-        cache.enabled = flag
-        if not flag:
-            cache.clear()
+    """Enable or disable the flow cache (disabling also clears it)."""
+    flow_cache.enabled = flag
+    if not flag:
+        flow_cache.clear()
 
 
 def caches_enabled() -> bool:
-    """True when the solver caches are active."""
-    return all(c.enabled for c in _ALL)
+    """True when the flow cache is active."""
+    return flow_cache.enabled
 
 
 def clear_caches() -> None:
-    """Empty both solver caches (size goes to zero; counters persist)."""
-    for cache in _ALL:
-        cache.clear()
+    """Empty the flow cache (size goes to zero; counters persist)."""
+    flow_cache.clear()
 
 
 def cache_stats() -> dict[str, dict]:
-    """``{cache name: stats dict}`` for every solver cache."""
-    return {c.name: c.stats() for c in _ALL}
+    """``{cache name: stats dict}`` for the flow cache."""
+    return {flow_cache.name: flow_cache.stats()}
 
 
-def configure(flow_maxsize: int | None = None,
-              mva_maxsize: int | None = None) -> None:
-    """Adjust cache size bounds; shrinking evicts LRU entries."""
-    for cache, maxsize in ((flow_cache, flow_maxsize),
-                           (mva_cache, mva_maxsize)):
-        if maxsize is None:
-            continue
-        if maxsize < 1:
-            raise ValueError(f"maxsize must be >= 1, got {maxsize}")
-        with cache._lock:
-            cache.maxsize = maxsize
-            while len(cache._data) > maxsize:
-                cache._data.popitem(last=False)
-                cache.evictions += 1
+def configure(flow_maxsize: int | None = None) -> None:
+    """Adjust the flow cache's size bound; shrinking evicts LRU entries."""
+    if flow_maxsize is None:
+        return
+    if flow_maxsize < 1:
+        raise ValueError(f"maxsize must be >= 1, got {flow_maxsize}")
+    with flow_cache._lock:
+        flow_cache.maxsize = flow_maxsize
+        while len(flow_cache._data) > flow_maxsize:
+            flow_cache._data.popitem(last=False)
+            flow_cache.evictions += 1

@@ -108,30 +108,20 @@ def cached_fingerprint(obj: object) -> str:
 def flow_key(profile, machine, alloc) -> str:
     """Cache key for one ``runtime.flow.solve_flow`` input.
 
-    Keyed on machine topology, memory profile, and core allocation
-    (population + thread count); the solver is a pure function of these.
+    Keyed on machine topology, memory profile and active-core count;
+    the solver is a pure function of these.
     """
+    # The solver reads only the placement: which cores are active, a
+    # pure function of (machine, n_active) under fill-processor-first.
+    # ``alloc.n_threads`` reaches only the noise model (through
+    # ``alloc.oversubscription``), so allocations that differ in thread
+    # count alone share one entry.
     return "|".join((
         "flow",
         cached_fingerprint(machine),
         cached_fingerprint(profile),
         str(alloc.n_active),
-        str(alloc.n_threads),
     ))
-
-
-def mva_key(stations, population: int, method: str) -> tuple:
-    """Cache key for one ``ClosedNetwork.solve`` input.
-
-    Station order and names matter (the result reports per-station
-    residence times by name), so the key preserves both.
-    """
-    return (
-        "mva", method, population,
-        tuple((type(s).__name__, s.name, s.demand,
-               getattr(s, "channels", 1), getattr(s, "scv", 1.0))
-              for s in stations),
-    )
 
 
 def clear_memo() -> None:

@@ -18,10 +18,7 @@ Features:
 * Schweitzer approximate MVA for large populations;
 * Seidmann's transformation for multi-channel stations;
 * a residual-service correction for non-exponential service (per-station
-  SCV), the standard AMVA heuristic;
-* content-addressed memoization of :meth:`ClosedNetwork.solve` through
-  :mod:`repro.perf` — resolving an identical network at the same
-  population returns the previously computed :class:`MVAResult`.
+  SCV), the standard AMVA heuristic.
 """
 
 from __future__ import annotations
@@ -31,8 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.obs import names as _names, state as _obs_state
-from repro.perf.cache import MISS as _MISS, mva_cache as _mva_cache
-from repro.perf.keys import mva_key as _mva_key
 from repro.resilience.errors import ConvergenceError
 from repro.util.validation import (
     ValidationError,
@@ -170,12 +165,8 @@ class ClosedNetwork:
         ``method`` is ``"exact"`` (recursion over 1..N) or ``"schweitzer"``
         (fixed-point approximation, O(iterations) independent of N).
 
-        Solutions are memoized in :data:`repro.perf.mva_cache`, keyed on
-        the station values, the population and the method; a repeat solve
-        of an identical network returns the cached (immutable) result.
-
-        Under telemetry, every call — memoized or not — lands one
-        observation in the ``latency.mva.solve_seconds`` histogram.
+        Under telemetry, every call lands one observation in the
+        ``latency.mva.solve_seconds`` histogram.
         """
         tel = _obs_state._active
         if tel is None:
@@ -187,16 +178,9 @@ class ClosedNetwork:
         check_integer("population", population, minimum=0)
         if method not in ("exact", "schweitzer"):
             raise ValidationError(f"unknown MVA method {method!r}")
-        key = _mva_key(self.stations, population, method)
-        hit = _mva_cache.get(key)
-        if hit is not _MISS:
-            return hit
         if method == "exact":
-            result = exact_mva(self, population)
-        else:
-            result = schweitzer_amva(self, population)
-        _mva_cache.put(key, result)
-        return result
+            return exact_mva(self, population)
+        return schweitzer_amva(self, population)
 
 
 def _collapse(result_names: list[str], mapping: list[int],
@@ -238,7 +222,7 @@ def _exact_recursion(demands: np.ndarray, is_queue: np.ndarray,
     Every operation is elementwise per row (the only reduction is the
     row-local ``sum(axis=1)``), so a chain's solution is bit-identical
     whether it is solved alone or inside any batch — the property the
-    memoization layer relies on.
+    flow solver's lock-step pooling relies on.
 
     Returns ``(x, residence, q, u)``: throughputs ``[C]`` and per-station
     arrays ``[C, S]``.
@@ -339,7 +323,7 @@ def exact_throughputs_cells(
     of different widths run in separate passes: a row must never be
     padded beyond its own cell's width, or crossing numpy's pairwise-
     summation block boundaries could change the last ulp of its demand
-    sums and break the bit-compatibility the memoization layer asserts.
+    sums and a pooled cell would no longer match its one-cell solve.
 
     Telemetry accounting matches ``len(blocks)`` scalar-path calls: one
     ``qnet.mva.exact.calls`` per chain row, ``.iterations`` per customer,

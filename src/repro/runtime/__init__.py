@@ -36,7 +36,6 @@ from repro.runtime.detailed import (
 )
 from repro.runtime.flow import (
     FlowResult,
-    batch_solve_enabled,
     cross_package_share,
     smt_paired_fraction,
     solve_flow,
@@ -56,7 +55,6 @@ __all__ = [
     "solve_flow",
     "solve_flow_batch",
     "solve_flow_cells",
-    "batch_solve_enabled",
     "prime_runs",
     "cross_package_share",
     "smt_paired_fraction",

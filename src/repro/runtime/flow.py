@@ -26,41 +26,34 @@ Outputs are the paper's counters: total cycles across cores, work cycles,
 stall cycles and LLC misses, with cycle bookkeeping exact by construction:
 ``total = W + B + memory_stall``.
 
-Fast path
----------
-Three layers keep repeated solves cheap (see docs/PERFORMANCE.md):
+Solving
+-------
+One driver solves every cell, whether a caller asks for one
+(:func:`solve_flow`, a one-cell call of :func:`solve_flow_cells`) or for
+a whole (machine x workload x allocation) grid (see docs/PERFORMANCE.md):
 
 * whole solves are memoized in :data:`repro.perf.flow_cache`, keyed on
-  the content hash of (machine, profile, allocation);
-* within the shadow fixed point, each Jacobi iteration assembles every
-  processor's chain into one ``[chains, stations]`` batch — rows are
-  canonically sorted and bitwise-deduplicated (symmetric processors
-  collapse to a single MVA solve) and individual chain solutions are
-  memoized in :data:`repro.perf.mva_cache`;
+  the content hash of (machine, profile, active-core count); a cell
+  repeated within one call is solved once and the repeats take copies;
+* the remaining cells run the shadow fixed point in lock-step: each
+  round assembles the chain rows of every unconverged cell, solves the
+  distinct rows in one MVA batch per station width (symmetric
+  processors collapse to a single row) and steps every cell once;
+  converged cells freeze while stragglers keep iterating.  Per-row
+  arithmetic does not depend on which other rows share the batch, so a
+  cell's bits never depend on its pool-mates;
+* the pooled exact round is attempt 0 of each cell's degradation
+  ladder.  A cell that fails it continues alone from attempt 1, in
+  input order, with the retries, degradation events and counters of a
+  solo walk; cells under an armed fault injection, and ladders that do
+  not open on the exact rung, walk alone from attempt 0;
 * once the damped iteration is in its geometric tail, the remaining
   distance to the fixed point is extrapolated in one jump instead of
   being iterated out (the loop still runs to the usual tolerance, so the
   fixed point reached is the same to within it).
-
-Sweep batching
---------------
-Experiment drivers evaluate whole (machine x workload x allocation)
-grids; :func:`solve_flow_batch` / :func:`solve_flow_cells` run the fixed
-point of *every* grid cell in lock-step: each round assembles the pending
-chain rows of all unconverged cells, solves them in one MVA batch per
-station width, and steps every cell once.  Converged cells freeze while
-stragglers keep iterating.  Per-cell arithmetic is the same
-:class:`_FlowCell` code the scalar path runs — batch results are
-bit-identical to scalar ones by construction — and any cell the batch
-attempt cannot converge falls through to the scalar resilience ladder,
-so watchdogs, degradation events and fault injection keep their exact
-semantics.  The ``REPRO_BATCH_SOLVE`` environment switch (default on)
-lets drivers opt out; see docs/PERFORMANCE.md.
 """
 
 from __future__ import annotations
-
-import os
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
@@ -71,15 +64,10 @@ import numpy as np
 from repro.machine.allocation import CoreAllocation
 from repro.machine.topology import Machine, MemoryArchitecture
 from repro.obs import names as _names, state as _obs_state
-from repro.perf.cache import (
-    MISS as _MISS,
-    flow_cache as _flow_cache,
-    mva_cache as _mva_cache,
-)
+from repro.perf.cache import MISS as _MISS, flow_cache as _flow_cache
 from repro.perf.keys import flow_key as _flow_key
 from repro.qnet.mva import (
     bound_throughputs,
-    exact_throughputs,
     exact_throughputs_cells,
     schweitzer_throughputs,
 )
@@ -271,9 +259,10 @@ def solve_flow(profile: MemoryProfile, machine: Machine,
                policy: ConvergencePolicy | None = None) -> FlowResult:
     """Solve the closed network for one allocation; see module docstring.
 
-    Results are memoized in :data:`repro.perf.flow_cache`; a repeat solve
-    of an identical (machine, profile, allocation) triple returns a copy
-    of the cached result (``runtime.flow.solves`` counts actual solves,
+    A one-cell call of :func:`solve_flow_cells`.  Results are memoized
+    in :data:`repro.perf.flow_cache`; a repeat solve of the same
+    (machine, profile, active-core count) returns a copy of the cached
+    result (``runtime.flow.solves`` counts actual solves,
     ``perf.cache.flow.hits`` the memoized returns).
 
     The shadow fixed point runs under a convergence watchdog and the
@@ -292,108 +281,28 @@ def solve_flow(profile: MemoryProfile, machine: Machine,
     per-cell latency a caller actually experiences, which is what the
     service-level p99 gate watches.
     """
-    tel = _obs_state._active
-    if tel is None:
-        return _solve_flow_entry(profile, machine, alloc, policy)
-    with tel.metrics.timer(_names.LATENCY_FLOW_SOLVE_SECONDS):
-        return _solve_flow_entry(profile, machine, alloc, policy)
+    return solve_flow_cells(((profile, machine, alloc),), policy)[0]
 
 
-def _solve_flow_entry(profile: MemoryProfile, machine: Machine,
-                      alloc: CoreAllocation,
-                      policy: ConvergencePolicy | None) -> FlowResult:
-    if alloc.machine is not machine and alloc.machine != machine:
-        raise ValidationError("allocation was built for a different machine")
-    use_cache = policy is None and not faultinject.solver_fault_armed(FLOW_SITE)
-    pol = policy if policy is not None else DEFAULT_POLICY
-    key = _flow_key(profile, machine, alloc) if use_cache else None
-    if use_cache:
-        hit = _flow_cache.get(key)
-        if hit is not _MISS:
-            return _copy_cached(hit)
-    tel = _obs_state._active
-    if tel is not None:
-        tel.metrics.counter(_names.RUNTIME_FLOW_SOLVES).inc()
-    result = _solve_flow_resilient(profile, machine, alloc, pol)
-    if use_cache:
-        _flow_cache.put(key, result)
-    return result
+#: Row solver of each degradation rung (``exact`` rows go through the
+#: fused multi-block recursion instead).
+_ROW_SOLVERS = {
+    "schweitzer": schweitzer_throughputs,
+    "bounds": bound_throughputs,
+}
 
 
-def _solve_flow_resilient(profile: MemoryProfile, machine: Machine,
-                          alloc: CoreAllocation,
-                          policy: ConvergencePolicy) -> FlowResult:
-    """Run the attempt schedule of ``policy`` until a rung produces.
-
-    The final rung accepts its last iterate instead of raising, so with
-    the default ladder (ending in ``bounds``) this always returns; a
-    custom ladder whose last rung still fails propagates that failure.
-    """
-    attempts = policy.attempts()
-    tel = _obs_state._active
-    last_error: SolverError | None = None
-    for i, (solver, damping) in enumerate(attempts):
-        final = i == len(attempts) - 1
-        try:
-            faultinject.maybe_fail_solver(FLOW_SITE, attempt=i)
-            return _solve_flow(profile, machine, alloc, solver=solver,
-                               damping=damping, policy=policy,
-                               accept_nonconverged=final)
-        except SolverError as exc:
-            last_error = exc
-            if tel is not None:
-                tel.metrics.counter(_names.RUNTIME_FLOW_NONCONVERGED).inc()
-            if final:
-                raise
-            next_solver, next_damping = attempts[i + 1]
-            if next_solver == solver:
-                record_event(DegradationEvent(
-                    site=FLOW_SITE, action="retry", from_stage=solver,
-                    to_stage=next_solver,
-                    detail=f"escalating damping {damping:g} -> "
-                           f"{next_damping:g}: {exc.message}"))
-            else:
-                record_event(DegradationEvent(
-                    site=FLOW_SITE, action="degrade", from_stage=solver,
-                    to_stage=next_solver, detail=exc.message))
-    raise last_error if last_error else AssertionError("empty schedule")
-
-
-def _solve_flow(profile: MemoryProfile, machine: Machine,
-                alloc: CoreAllocation, *, solver: str = "exact",
-                damping: float = 0.5,
-                policy: ConvergencePolicy = DEFAULT_POLICY,
-                accept_nonconverged: bool = False) -> FlowResult:
-    """Scalar driver: build one cell and step it to convergence.
-
-    The per-iteration arithmetic lives in :class:`_FlowCell`; this loop
-    is the degenerate one-cell instance of the lock-step the batch
-    driver (:func:`solve_flow_cells`) runs, so scalar and batch results
-    agree bit for bit by construction.
-    """
-    cell = _FlowCell(profile, machine, alloc, solver=solver, damping=damping,
-                     policy=policy, accept_nonconverged=accept_nonconverged)
-    while True:
-        rows = cell.assemble()
-        if rows:
-            cell.absorb(_solve_rows(cell.batch_solver, rows))
-        if cell.update():
-            return cell.finalize()
-
-
-def _solve_rows(batch_solver, rows: list[tuple]) -> dict:
-    """Solve deduplicated chain rows in stacked batches; memoize each.
+def _solve_rows(solver: str, rows: list[tuple]) -> dict:
+    """Solve distinct chain rows in stacked batches, one per width.
 
     ``rows`` are ``(key, population, demands, is_queue, scv)`` tuples as
     produced by :meth:`_FlowCell.assemble`.  Rows are grouped by station
     width and stacked into one solver call per width: pooling cells of
     different machines must never pad a row beyond its own cell's width,
     because crossing numpy's pairwise-summation block boundaries could
-    change the last ulp of a row's demand sum — the same cache key must
-    map to the same bits no matter which driver (or batch composition)
-    solved it.
+    change the last ulp of a row's demand sum — a row must map to the
+    same bits no matter which batch composition solved it.
     """
-    out: dict[tuple, float] = {}
     by_width: dict[int, list[tuple]] = {}
     for row in rows:
         by_width.setdefault(len(row[2]), []).append(row)
@@ -404,15 +313,14 @@ def _solve_rows(batch_solver, rows: list[tuple]) -> dict:
         np.stack([b[4] for b in batch]),
         np.array([b[1] for b in batch]),
     ) for batch in batches]
-    if batch_solver is exact_throughputs:
+    if solver == "exact":
         solved = exact_throughputs_cells(blocks)
     else:
-        solved = [batch_solver(*block) for block in blocks]
+        solved = [_ROW_SOLVERS[solver](*block) for block in blocks]
+    out: dict[tuple, float] = {}
     for batch, xs in zip(batches, solved):
         for (key, _, _, _, _), xv in zip(batch, xs):
-            xv = float(xv)
-            _mva_cache.put(key, xv)
-            out[key] = xv
+            out[key] = float(xv)
     return out
 
 
@@ -423,8 +331,8 @@ class _FlowCell:
     loop can interleave many cells:
 
     * :meth:`assemble` refreshes the load-dependent station demands
-      against the current utilisation state and returns the chain rows
-      whose MVA solution is not already memoized;
+      against the current utilisation state and returns the distinct
+      chain rows to solve;
     * :meth:`absorb` hands back the solved throughputs;
     * :meth:`update` applies the damped Jacobi step, returning ``True``
       once converged (a watchdog trip raises, exactly as the historical
@@ -432,8 +340,8 @@ class _FlowCell:
     * :meth:`finalize` turns the fixed point into a :class:`FlowResult`.
 
     Every floating-point operation — including the iteration order of
-    the utilisation sums — matches the historical inline loop, which is
-    what makes batch solves bit-compatible with scalar ones.
+    the utilisation sums — is the cell's own, so a cell steps through
+    the same bits alone or pooled with others.
     """
 
     def __init__(self, profile: MemoryProfile, machine: Machine,
@@ -603,13 +511,6 @@ class _FlowCell:
             })
         width = max(len(c["demands"]) for c in chains)
 
-        #: Per-chain throughput function of the active degradation rung.
-        self.batch_solver = {
-            "exact": exact_throughputs,
-            "schweitzer": schweitzer_throughputs,
-            "bounds": bound_throughputs,
-        }[solver]
-
         self.prev_delta: dict[tuple[int, str], float] | None = None
         self.jumps = 0
         self.dog = Watchdog(FLOW_SITE, max_iterations=policy.max_iterations,
@@ -647,8 +548,7 @@ class _FlowCell:
         winner-takes-all fixed point).  Rows are sorted into a canonical
         station order (only the throughput is consumed, which does not
         depend on it) so symmetric processors produce bitwise-equal rows
-        and collapse to a single solve.  Returns the rows that missed
-        the MVA memo and still need solving.
+        and collapse to a single solve.  Returns the distinct rows.
         """
         contrib = self.contrib
         profile = self.profile
@@ -720,12 +620,8 @@ class _FlowCell:
                 d = np.concatenate([d, np.zeros(pad)])
                 iq = np.concatenate([iq, np.zeros(pad, dtype=bool)])
                 sv = np.concatenate([sv, np.ones(pad)])
-            key = ("chain", self.solver, c["pop"],
-                   d.tobytes(), iq.tobytes(), sv.tobytes())
-            cached = _mva_cache.get(key)
-            if cached is not _MISS:
-                solved[i] = cached
-            elif key in pending:
+            key = (c["pop"], d.tobytes(), iq.tobytes(), sv.tobytes())
+            if key in pending:
                 pending[key].append(i)
             else:
                 pending[key] = [i]
@@ -873,17 +769,7 @@ def _tail_jump(contrib: dict, delta: dict, prev_delta: dict) -> bool:
     return True
 
 
-# -- sweep-batched driver -----------------------------------------------------
-
-
-def batch_solve_enabled() -> bool:
-    """Whether drivers should route sweeps through the batch kernel.
-
-    Controlled by the ``REPRO_BATCH_SOLVE`` environment switch (default
-    on), mirroring the ``REPRO_PERF_CACHE`` convention; results are
-    bit-identical either way, so the switch only trades wall time.
-    """
-    return os.environ.get("REPRO_BATCH_SOLVE", "1") not in ("0", "false", "")
+# -- the driver ---------------------------------------------------------------
 
 
 def solve_flow_batch(profile: MemoryProfile, machine: Machine,
@@ -905,33 +791,26 @@ def solve_flow_cells(
         policy: ConvergencePolicy | None = None) -> list[FlowResult]:
     """Solve many (profile, machine, allocation) cells in lock-step.
 
-    Each round pools every unconverged cell's pending chain rows into
-    stacked MVA batches (grouped by station width, deduplicated by
-    content key), then steps every cell once; converged cells freeze
-    while stragglers keep iterating.  The perf cache is consulted
-    per-cell first, only misses are solved, and solutions are
-    back-filled, so a batch interleaves with scalar calls exactly like a
-    sequential sweep would.  Cells the batch attempt cannot converge —
-    and whole batches under an armed fault injection or a ladder that
-    does not open on the exact rung — fall through to the scalar
-    resilience path with its full retry/degradation semantics.
+    Cached cells are answered from :data:`repro.perf.flow_cache`; a
+    cell repeated within the call is solved once and its repeats take
+    copies of that result; the rest walk their degradation ladders,
+    attempt 0 pooled (see the module docstring).  Results come back in
+    input order, each bit-identical to a :func:`solve_flow` call of its
+    cell, and back-fill the cache.
 
-    Under telemetry the whole batch is timed into
+    Under telemetry the whole call is timed into
     ``latency.flow.batch_seconds`` and each cell lands one amortized
-    observation in ``latency.flow.solve_seconds`` (the per-cell latency
-    SLO keeps one observation per cell, whichever path solved it);
-    ``perf.batch.cells`` / ``perf.batch.fallbacks`` count the routing.
+    observation in ``latency.flow.solve_seconds``;
+    ``perf.batch.fallbacks`` counts the cells that stepped alone.
     """
     cells = list(cells)
-    if not cells:
-        return []
     tel = _obs_state._active
-    if tel is None:
-        return _solve_flow_cells(cells, policy)
+    if tel is None or not cells:
+        return _solve_cells(cells, policy)
     timer = tel.metrics.timer(_names.LATENCY_FLOW_BATCH_SECONDS)
     before = timer.sum
     with timer:
-        results = _solve_flow_cells(cells, policy)
+        results = _solve_cells(cells, policy)
     # Amortized per-cell latency, read back from the timer instrument
     # itself: model code takes no wall-clock reads of its own.
     each = (timer.sum - before) / len(cells)
@@ -941,112 +820,145 @@ def solve_flow_cells(
     return results
 
 
-def _solve_flow_cells(
+def _solve_cells(
         cells: "list[tuple[MemoryProfile, Machine, CoreAllocation]]",
         policy: ConvergencePolicy | None) -> list[FlowResult]:
-    tel = _obs_state._active
-    armed = faultinject.solver_fault_armed(FLOW_SITE)
-    use_cache = policy is None and not armed
-    pol = policy if policy is not None else DEFAULT_POLICY
-    attempts = pol.attempts()
-    first_solver, first_damping = attempts[0]
-    if tel is not None:
-        tel.metrics.counter(_names.PERF_BATCH_CELLS).inc(len(cells))
-    if armed or first_solver != "exact":
-        # Fault plans consume one entry per solve attempt, and ladders
-        # that do not open on the exact rung cannot batch (Schweitzer
-        # couples its convergence residual across rows, so pooling cells
-        # would change results): route every cell through the scalar
-        # entry so attempt accounting and degradation semantics stay
-        # exact.
-        if tel is not None:
-            tel.metrics.counter(_names.PERF_BATCH_FALLBACKS).inc(len(cells))
-        return [_solve_flow_entry(p, m, a, policy) for p, m, a in cells]
-
+    use_cache = policy is None \
+        and not faultinject.solver_fault_armed(FLOW_SITE)
     results: list[FlowResult | None] = [None] * len(cells)
-    keys: list[object | None] = [None] * len(cells)
-    followers: dict[object, list[int]] = {}
-    solve_idx: list[int] = []
+    todo: list[int] = []
+    leaders: dict[str, int] = {}
+    followers: list[tuple[int, int]] = []
     for i, (profile, machine, alloc) in enumerate(cells):
         if alloc.machine is not machine and alloc.machine != machine:
             raise ValidationError(
                 "allocation was built for a different machine")
         if use_cache:
             key = _flow_key(profile, machine, alloc)
-            keys[i] = key
             hit = _flow_cache.get(key)
             if hit is not _MISS:
                 results[i] = _copy_cached(hit)
                 continue
-            if key in followers:
-                # Duplicate cell within this batch: solve the first
-                # occurrence only and resolve the follower through the
-                # cache afterwards, so hit/solve accounting matches a
-                # sequential scalar sweep.
-                followers[key].append(i)
+            leader = leaders.setdefault(key, i)
+            if leader != i:
+                followers.append((i, leader))
                 continue
-            followers[key] = []
-        solve_idx.append(i)
-
-    live: dict[int, _FlowCell] = {}
-    for i in solve_idx:
-        profile, machine, alloc = cells[i]
+        todo.append(i)
+    if todo:
+        tel = _obs_state._active
         if tel is not None:
-            tel.metrics.counter(_names.RUNTIME_FLOW_SOLVES).inc()
-        live[i] = _FlowCell(profile, machine, alloc, solver=first_solver,
-                            damping=first_damping, policy=pol,
-                            accept_nonconverged=len(attempts) == 1)
+            tel.metrics.counter(_names.RUNTIME_FLOW_SOLVES).inc(len(todo))
+        _walk_ladders(cells, todo, DEFAULT_POLICY if policy is None
+                      else policy, results)
+        for key, i in leaders.items():
+            _flow_cache.put(key, results[i])
+        for i, leader in followers:
+            results[i] = _copy_cached(cast(FlowResult, results[leader]))
+    return cast("list[FlowResult]", results)
 
-    fallback: list[int] = []
+
+def _walk_ladders(cells: list, todo: list[int], policy: ConvergencePolicy,
+                  results: list) -> None:
+    """Walk the cells ``todo`` down the attempt schedule of ``policy``.
+
+    Attempt 0 runs pooled when the ladder opens on the exact rung and no
+    fault injection is armed (Schweitzer couples its convergence
+    residual across rows, and fault plans count attempts per cell).  A
+    cell that fails it continues alone from attempt 1; every other cell
+    walks alone from attempt 0.  Solo walks run in input order, so their
+    degradation events and ``runtime.flow.nonconverged`` counts come out
+    as a sequence of one-cell solves would record them.
+
+    The final rung accepts its last iterate instead of raising, so with
+    the default ladder (ending in ``bounds``) every cell produces; a
+    custom ladder whose last rung still fails propagates that failure.
+    """
+    attempts = policy.attempts()
+    alone: list[tuple[int, int, SolverError | None]]
+    if attempts[0][0] == "exact" \
+            and not faultinject.solver_fault_armed(FLOW_SITE):
+        errors = _lockstep(cells, todo, attempts, 0, policy, results)
+        alone = [(i, 1, errors[i]) for i in todo if i in errors]
+    else:
+        alone = [(i, 0, None) for i in todo]
+    tel = _obs_state._active
+    if alone and tel is not None:
+        tel.metrics.counter(_names.PERF_BATCH_FALLBACKS).inc(len(alone))
+    for i, k, error in alone:
+        while results[i] is None:
+            if error is not None:
+                # Raises when attempt ``k - 1`` was the final rung.
+                _record_failure(attempts, k - 1, error)
+            error = _lockstep(cells, [i], attempts, k, policy,
+                              results).get(i)
+            k += 1
+
+
+def _record_failure(attempts: list[tuple[str, float]], k: int,
+                    exc: SolverError) -> None:
+    """Account attempt ``k``'s failure; raise it when ``k`` is final."""
+    tel = _obs_state._active
+    if tel is not None:
+        tel.metrics.counter(_names.RUNTIME_FLOW_NONCONVERGED).inc()
+    if k == len(attempts) - 1:
+        raise exc
+    solver, damping = attempts[k]
+    next_solver, next_damping = attempts[k + 1]
+    if next_solver == solver:
+        record_event(DegradationEvent(
+            site=FLOW_SITE, action="retry", from_stage=solver,
+            to_stage=next_solver,
+            detail=f"escalating damping {damping:g} -> "
+                   f"{next_damping:g}: {exc.message}"))
+    else:
+        record_event(DegradationEvent(
+            site=FLOW_SITE, action="degrade", from_stage=solver,
+            to_stage=next_solver, detail=exc.message))
+
+
+def _lockstep(cells: list, idxs: list[int],
+              attempts: list[tuple[str, float]], k: int,
+              policy: ConvergencePolicy,
+              results: list) -> dict[int, SolverError]:
+    """Run attempt ``k`` for the cells ``idxs`` in lock-step.
+
+    Each round pools the distinct chain rows of every unconverged cell
+    into one :func:`_solve_rows` call, then steps every cell once.
+    Converged cells land in ``results``; returns the error of each cell
+    that failed the attempt.
+    """
+    solver, damping = attempts[k]
+    final = k == len(attempts) - 1
+    failed: dict[int, SolverError] = {}
+    live: dict[int, _FlowCell] = {}
+    for i in idxs:
+        try:
+            faultinject.maybe_fail_solver(FLOW_SITE, attempt=k)
+        except SolverError as exc:
+            failed[i] = exc
+            continue
+        profile, machine, alloc = cells[i]
+        live[i] = _FlowCell(profile, machine, alloc, solver=solver,
+                            damping=damping, policy=policy,
+                            accept_nonconverged=final)
     while live:
         rows: dict[tuple, tuple] = {}
         for cell in live.values():
             for row in cell.assemble():
                 rows.setdefault(row[0], row)
-        solutions = _solve_rows(exact_throughputs, list(rows.values())) \
-            if rows else {}
-        done: list[int] = []
-        for i, cell in live.items():
+        try:
+            solutions = _solve_rows(solver, list(rows.values()))
+        except SolverError as exc:
+            # A failed MVA solve fails every cell whose rows it held.
+            failed.update(dict.fromkeys(live, exc))
+            break
+        for i, cell in list(live.items()):
             cell.absorb(solutions)
             try:
-                converged = cell.update()
-            except SolverError:
-                # The straggler re-enters the scalar resilience ladder
-                # from attempt 0: identical retries, damping escalation,
-                # degradation events and counters as a scalar call.  The
-                # abandoned batch attempt recorded nothing and left only
-                # warm MVA memo entries behind (bit-identical to the
-                # ones the scalar rerun is about to want).
-                fallback.append(i)
-                done.append(i)
-                continue
-            if converged:
-                result = cell.finalize()
-                results[i] = result
-                if use_cache:
-                    _flow_cache.put(keys[i], result)
-                done.append(i)
-        for i in done:
+                if not cell.update():
+                    continue
+                results[i] = cell.finalize()
+            except SolverError as exc:
+                failed[i] = exc
             del live[i]
-
-    if fallback and tel is not None:
-        tel.metrics.counter(_names.PERF_BATCH_FALLBACKS).inc(len(fallback))
-    for i in fallback:
-        profile, machine, alloc = cells[i]
-        result = _solve_flow_resilient(profile, machine, alloc, pol)
-        if use_cache:
-            _flow_cache.put(keys[i], result)
-        results[i] = result
-
-    if use_cache:
-        for key, idxs in followers.items():
-            for i in idxs:
-                hit = _flow_cache.get(key)
-                if hit is not _MISS:
-                    results[i] = _copy_cached(hit)
-                else:
-                    # The cache was disabled or evicted under us; solve
-                    # the duplicate the way a scalar sweep would have.
-                    p, m, a = cells[i]
-                    results[i] = _solve_flow_entry(p, m, a, policy)
-    return cast("list[FlowResult]", results)
+    return failed

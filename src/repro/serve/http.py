@@ -22,9 +22,9 @@ bytes; handler bodies run on a small thread pool (``run_in_executor``)
 under ``contextvars.copy_context()``, so spans the solver opens in a
 pool thread parent to the dispatching request's span instead of
 orphaning — that is what makes the ``/debug/requests`` trace trees
-complete.  Warm requests are two dictionary lookups, which is what
-lets a single process clear the 1k-predictions/s bar in
-``benchmarks/bench_serve.py``.
+complete.  A warm request runs ``calibrate_profile``, the ``flow_key``
+fingerprint, then two flow-cache lookups, which is what lets a single
+process clear the 1k-predictions/s bar in ``benchmarks/bench_serve.py``.
 
 Every response path — including malformed-framing rejections — is
 recorded exactly once on the server's

@@ -24,7 +24,7 @@ solver faults surface as 500.
 
 from __future__ import annotations
 
-from repro import obs, perf
+from repro import obs
 from repro.core.predict import predict_workload, recommend_workload
 from repro.machine import amd_numa, intel_numa, intel_uma
 from repro.machine.topology import Machine
@@ -91,7 +91,7 @@ def _cell_identity(body: dict) -> tuple[Machine, str, str]:
 
 
 def _instrumented(counter_name: str, handler, body) -> tuple[int, dict]:
-    """Run one handler with outcome and cache accounting around it.
+    """Run one handler with outcome accounting around it.
 
     Request-level accounting (``serve.requests`` with its
     ``status_class`` dimension, the ``serve.request_seconds`` timer,
@@ -99,15 +99,9 @@ def _instrumented(counter_name: str, handler, body) -> tuple[int, dict]:
     :class:`repro.serve.stats.ServiceTelemetry`, which sees *every*
     response path — including framing rejections that never reach a
     handler.  This wrapper owns what only the handler boundary knows:
-    the outcome counters and the per-request cache delta.
-
-    Cache attribution is by before/after delta of the shared flow-cache
-    counters; under concurrent requests deltas can shift between
-    requests, but the session totals — what ``/metrics`` and the BENCH
-    records report — stay exact because the cache counts under its own
-    lock.
+    the outcome counters.  Cache effectiveness is the flow cache's own
+    ``perf.cache.flow.*`` counters.
     """
-    before = perf.flow_cache.stats()
     try:
         payload = handler(body)
     except ValidationError as exc:
@@ -116,17 +110,6 @@ def _instrumented(counter_name: str, handler, body) -> tuple[int, dict]:
     except Exception as exc:  # pragma: no cover - solver faults only
         obs.counter(names.SERVE_ERRORS)
         return 500, {"error": f"{type(exc).__name__}: {exc}"}
-    finally:
-        after = perf.flow_cache.stats()
-        hits = after["hits"] - before["hits"]
-        misses = after["misses"] - before["misses"]
-        if hits:
-            obs.counter(names.SERVE_CACHE_HITS, hits)
-        if misses:
-            obs.counter(names.SERVE_CACHE_MISSES, misses)
-        total = after["hits"] + after["misses"]
-        if total:
-            obs.gauge(names.SERVE_CACHE_HIT_RATE, after["hits"] / total)
     obs.counter(counter_name)
     return 200, payload
 

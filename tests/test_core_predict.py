@@ -25,6 +25,7 @@ from repro.core.predict import (
     recommend_workload,
 )
 from repro.machine import CoreAllocation, amd_numa, intel_numa, intel_uma
+from repro.obs import names as _names
 from repro.runtime.calibration import HALF_FULL, TABLE2, calibrate_profile
 from repro.runtime.flow import solve_flow
 from repro.runtime.measurement import MeasurementRun
@@ -98,6 +99,19 @@ class TestDriverBitIdentity:
         second = predict_workload("FT", "C", machine, 12)
         assert dataclasses.asdict(first) == dataclasses.asdict(second)
 
+    def test_a_second_thread_count_reuses_the_solve(self):
+        # The flow cache keys on the placement, not the thread count:
+        # the one-core cell at two thread counts is one solve (it is
+        # also its own baseline).
+        machine = MACHINES["intel_numa"]
+        tel = obs.enable(fresh=True)
+        first = predict_workload("FT", "C", machine, 1, n_threads=4)
+        second = predict_workload("FT", "C", machine, 1, n_threads=30)
+        solves = tel.metrics.snapshot()[_names.RUNTIME_FLOW_SOLVES]["value"]
+        assert solves == 1
+        assert (first.n_threads, second.n_threads) == (4, 30)
+        assert first.total_cycles == second.total_cycles
+
 
 class TestSweepIdentity:
     @given(profiles(), st.sampled_from(sorted(MACHINES)),
@@ -112,18 +126,6 @@ class TestSweepIdentity:
         scalar = [predict(profile, machine, a) for a in allocs]
         assert [dataclasses.asdict(p) for p in batch] \
             == [dataclasses.asdict(p) for p in scalar]
-
-    def test_sweep_with_batching_disabled(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_SOLVE", "0")
-        machine = MACHINES["intel_uma"]
-        profile = make_profile()
-        allocs = [CoreAllocation.paper_policy(machine, n) for n in (2, 8)]
-        batch = predict_sweep(profile, machine, allocs)
-        monkeypatch.setenv("REPRO_BATCH_SOLVE", "1")
-        perf.clear_caches()
-        again = predict_sweep(profile, machine, allocs)
-        assert [dataclasses.asdict(p) for p in batch] \
-            == [dataclasses.asdict(p) for p in again]
 
     def test_empty_sweep(self):
         assert predict_sweep(make_profile(), MACHINES["intel_uma"], []) == []

@@ -18,12 +18,7 @@ from repro import obs, perf
 from repro.machine import CoreAllocation, amd_numa, intel_numa, intel_uma
 from repro.obs import names as _names
 from repro.resilience import ConvergencePolicy, faultinject
-from repro.runtime.flow import (
-    batch_solve_enabled,
-    solve_flow,
-    solve_flow_batch,
-    solve_flow_cells,
-)
+from repro.runtime.flow import solve_flow, solve_flow_batch, solve_flow_cells
 from test_flow_properties import make_profile, profiles
 
 MACHINES = {"uma": intel_uma(), "numa": intel_numa(), "amd": amd_numa()}
@@ -205,7 +200,6 @@ class TestCacheInterplay:
         assert solves_after_batch == len(allocs)
         # The per-point calls were all memo hits: no further solves.
         assert snap[_names.RUNTIME_FLOW_SOLVES]["value"] == solves_after_batch
-        assert snap[_names.PERF_BATCH_CELLS]["value"] == len(allocs)
 
     def test_batch_consults_the_cache_first(self):
         machine = MACHINES["numa"]
@@ -233,15 +227,24 @@ class TestCacheInterplay:
         assert first.controller_utilisation \
             is not second.controller_utilisation
 
-
-class TestEnvSwitch:
-    def test_default_is_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BATCH_SOLVE", raising=False)
-        assert batch_solve_enabled()
-
-    @pytest.mark.parametrize("off", ["0", "false", ""])
-    def test_disabled_values(self, monkeypatch, off):
-        monkeypatch.setenv("REPRO_BATCH_SOLVE", off)
-        assert not batch_solve_enabled()
-        monkeypatch.setenv("REPRO_BATCH_SOLVE", "1")
-        assert batch_solve_enabled()
+    def test_duplicate_cell_is_solved_once_under_a_one_entry_cache(self):
+        # A repeat takes a copy of its leader's result instead of going
+        # back to a cache that may already have evicted it.
+        maxsize = perf.flow_cache.maxsize
+        perf.configure(flow_maxsize=1)
+        try:
+            machine = MACHINES["numa"]
+            p = make_profile()
+            alloc = CoreAllocation.paper_policy(machine, 12)
+            other = CoreAllocation.paper_policy(machine, 5)
+            tel = obs.enable(fresh=True)
+            batch = solve_flow_cells([(p, machine, alloc),
+                                      (p, machine, other),
+                                      (p, machine, alloc)])
+            snap = tel.metrics.snapshot()
+        finally:
+            perf.configure(flow_maxsize=maxsize)
+        assert snap[_names.RUNTIME_FLOW_SOLVES]["value"] == 2
+        assert dataclasses.asdict(batch[0]) == dataclasses.asdict(batch[2])
+        assert batch[0].controller_utilisation \
+            is not batch[2].controller_utilisation

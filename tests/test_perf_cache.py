@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import perf
-from repro.machine import CoreAllocation, intel_numa, intel_uma
+from repro.machine import CoreAllocation, amd_numa, intel_numa, intel_uma
 from repro.perf.cache import MemoCache, _env_enabled
 from repro.perf.keys import cached_fingerprint, fingerprint, flow_key
 from repro.runtime.flow import solve_flow
@@ -51,6 +51,22 @@ class TestFlowCacheExactness:
             # the cache must never change a value by even one ulp.
             assert dataclasses.asdict(result) == dataclasses.asdict(uncached)
 
+    @given(profiles(), st.sampled_from(["uma", "numa", "amd"]),
+           st.integers(1, 48), st.integers(0, 48), st.integers(0, 48))
+    @settings(max_examples=25, deadline=None)
+    def test_thread_count_never_reaches_the_solver(self, profile, mkey, n,
+                                                   extra1, extra2):
+        # ``flow_key`` leaves ``n_threads`` out; this is the property it
+        # relies on.  Caches off, so both results are real solves.
+        machine = {**MACHINES, "amd": amd_numa()}[mkey]
+        n = 1 + (n - 1) % machine.n_cores
+        perf.set_enabled(False)
+        first, second = (
+            solve_flow(profile, machine, CoreAllocation(
+                machine=machine, n_active=n, n_threads=n + extra))
+            for extra in (extra1, extra2))
+        assert dataclasses.asdict(first) == dataclasses.asdict(second)
+
     def test_hit_counters_and_fresh_dict(self, inuma):
         profile = make_profile()
         alloc = CoreAllocation.paper_policy(inuma, 4)
@@ -83,7 +99,6 @@ class TestFlowCacheExactness:
         alloc = CoreAllocation.paper_policy(inuma, 2)
         solve_flow(profile, inuma, alloc)
         assert len(perf.flow_cache) == 0
-        assert len(perf.mva_cache) == 0
 
 
 class TestMemoCache:
