@@ -80,6 +80,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from repro import __version__, obs
@@ -296,6 +297,28 @@ def _experiment_names(name: str) -> list[str]:
     return available_experiments() if name == "all" else [name]
 
 
+def _reject_run(name: str, args) -> bool:
+    """Refuse, before any work, a run that could not finish usefully.
+
+    An unknown experiment, or a ``--trace``/``--manifest``/``--log``
+    path into a missing directory, gets a one-line stderr error and
+    ``True``; otherwise ``False``.
+    """
+    valid = available_experiments()
+    if name != "all" and name not in valid:
+        print(f"repro: unknown experiment {name!r}; valid: all, "
+              f"{', '.join(valid)} (see 'repro list' for commands)",
+              file=sys.stderr)
+        return True
+    for flag in ("trace", "manifest", "log"):
+        path = getattr(args, flag)
+        if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            print(f"repro: --{flag} {path}: directory does not exist",
+                  file=sys.stderr)
+            return True
+    return False
+
+
 def _write_telemetry(args, tel) -> None:
     """Honour --trace/--metrics/--manifest/--log after a telemetry run."""
     if args.trace:
@@ -321,6 +344,8 @@ def _write_telemetry(args, tel) -> None:
 def _cmd_experiment(args) -> int:
     from repro.experiments import run_experiments
 
+    if _reject_run(args.experiment, args):
+        return 2
     telemetry_wanted = bool(args.trace or args.metrics or args.manifest
                             or args.archive or args.log
                             or args.serve_metrics is not None)
@@ -384,6 +409,8 @@ def _cmd_profile(args) -> int:
     if not args.target:
         print("usage: repro profile <experiment> [--fast]", file=sys.stderr)
         return 2
+    if _reject_run(args.target, args):
+        return 2
     tel, report, results = _profiled_run(_experiment_names(args.target),
                                          args.fast, args.seed)
     for result in results:
@@ -402,6 +429,8 @@ def _cmd_hotspots(args) -> int:
     if not args.target:
         print("usage: repro hotspots <experiment> [--fast] [--top N] "
               "[--collapsed OUT] [--flame OUT]", file=sys.stderr)
+        return 2
+    if _reject_run(args.target, args):
         return 2
     _, report, _ = _profiled_run(_experiment_names(args.target),
                                  args.fast, args.seed)

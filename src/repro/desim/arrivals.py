@@ -190,7 +190,27 @@ def _pareto_durations(rng: np.random.Generator, alpha: float, mean: float,
     return xm * (1.0 + rng.pareto(alpha, size=size))
 
 
-class OnOffArrivals(ArrivalProcess):
+class _TimestampArrivals(ArrivalProcess):
+    """A process built from its arrival timestamps, not from its gaps.
+
+    Subclasses construct :meth:`arrival_times` directly; interarrivals
+    are the gaps of an expanding-horizon run of it.
+    """
+
+    def sample_interarrivals(self, n: int, rng=None) -> np.ndarray:
+        check_integer("n", n, minimum=1)
+        rng = resolve_rng(rng)
+        # Generate over an expanding horizon until n arrivals are collected.
+        horizon = (n + 16) / self.mean_rate
+        for _ in range(32):
+            times = self.arrival_times(horizon, rng)
+            if times.size >= n + 1:
+                return np.diff(times[: n + 1])
+            horizon *= 2.0
+        raise ValidationError("failed to generate requested interarrivals")
+
+
+class OnOffArrivals(_TimestampArrivals):
     """ON/OFF source: Poisson at ``on_rate`` during ON periods, silent OFF.
 
     ON durations are Pareto(``alpha``) with mean ``mean_on`` when
@@ -255,20 +275,8 @@ class OnOffArrivals(ArrivalProcess):
         all_times = np.sort(np.concatenate(out))
         return all_times[all_times < horizon]
 
-    def sample_interarrivals(self, n: int, rng=None) -> np.ndarray:
-        check_integer("n", n, minimum=1)
-        rng = resolve_rng(rng)
-        # Generate over an expanding horizon until n arrivals are collected.
-        horizon = (n + 16) / self.mean_rate
-        for _ in range(32):
-            times = self.arrival_times(horizon, rng)
-            if times.size >= n + 1:
-                return np.diff(times[: n + 1])
-            horizon *= 2.0
-        raise ValidationError("failed to generate requested interarrivals")
 
-
-class MMPPArrivals(ArrivalProcess):
+class MMPPArrivals(_TimestampArrivals):
     """Markov-modulated Poisson process with exponential state holding times.
 
     ``rates[i]`` is the Poisson rate while in state ``i``; ``mean_holding[i]``
@@ -321,14 +329,3 @@ class MMPPArrivals(ArrivalProcess):
             return np.zeros(0)
         all_times = np.sort(np.concatenate(out))
         return all_times[all_times < horizon]
-
-    def sample_interarrivals(self, n: int, rng=None) -> np.ndarray:
-        check_integer("n", n, minimum=1)
-        rng = resolve_rng(rng)
-        horizon = (n + 16) / self.mean_rate
-        for _ in range(32):
-            times = self.arrival_times(horizon, rng)
-            if times.size >= n + 1:
-                return np.diff(times[: n + 1])
-            horizon *= 2.0
-        raise ValidationError("failed to generate requested interarrivals")

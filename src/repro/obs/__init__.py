@@ -56,7 +56,7 @@ from repro.obs.metrics import (
     wrap_snapshot,
 )
 from repro.obs.prof import HotSpot, Profiler, ProfileReport, parse_collapsed
-from repro.obs.slo import FAST_BURN, SLO_SCHEMA, SLObjective, SLOTracker
+from repro.obs.slo import FAST_BURN, SLO_SCHEMA, SLObjective, SLOTracker, request_windows
 from repro.obs.profile import (
     hotspot_table,
     metrics_table,
@@ -75,7 +75,7 @@ from repro.obs.state import (
 )
 from repro.obs.store import ArchivedRun, RunStore, StoreError
 from repro.obs.tracing import Span, Tracer
-from repro.obs.window import WINDOW_SCHEMA, RollingCounter, RollingHistogram
+from repro.obs.window import WINDOW_SCHEMA, RequestWindow
 
 # NOTE: repro.obs.doctor is deliberately not imported here — it reaches
 # into repro.experiments (which imports repro.obs) and must stay lazy.
@@ -94,8 +94,9 @@ __all__ = [
     "HotSpot", "Profiler", "ProfileReport", "parse_collapsed",
     "StructuredLog", "LOG_SCHEMA", "check_event_name", "parse_jsonl",
     "MetricsServer",
-    "RollingCounter", "RollingHistogram", "WINDOW_SCHEMA",
+    "RequestWindow", "WINDOW_SCHEMA",
     "SLObjective", "SLOTracker", "FAST_BURN", "SLO_SCHEMA",
+    "request_windows",
     "TelemetrySession", "NOOP_SPAN",
     "enable", "disable", "enabled", "session",
     "span", "counter", "gauge", "gauge_max", "observe", "timed",

@@ -2,11 +2,11 @@
 
 An :class:`SLObjective` states a target over a service-level indicator
 — availability ("99.9% of requests succeed") or latency ("99% of
-requests answer under 250 ms").  The :class:`SLOTracker` feeds every
-request into rolling windows (:mod:`repro.obs.window`) and evaluates
-**burn rates**: how fast the error budget (``1 - target``) is being
-consumed, normalised so a burn rate of 1.0 exactly exhausts the budget
-over the SLO period.
+requests answer under 250 ms").  The :class:`SLOTracker` reads the
+service's two request rings (:mod:`repro.obs.window`), which count the
+bad requests of every objective, and evaluates **burn rates**: how fast
+the error budget (``1 - target``) is being consumed, normalised so a
+burn rate of 1.0 exactly exhausts the budget over the SLO period.
 
 Degradation follows the multi-window, multi-burn-rate pattern from the
 SRE literature: the tracker flips an objective to ``degraded`` only
@@ -18,8 +18,8 @@ again.  Transitions emit ``slo.degraded`` / ``slo.recovered``
 structured-log events and mirror into ``serve.slo.*`` gauges when a
 telemetry session is active.
 
-Clock injection mirrors :mod:`repro.obs.window`: tests drive a fake
-clock through a full degrade/recover cycle without sleeping.
+The tracker tells time by the rings' injectable clock, so tests drive
+a fake clock through a full degrade/recover cycle without sleeping.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.obs.window import RollingCounter
+from repro.obs.window import RequestWindow
 
 #: Schema version of the ``slo`` block served by ``/healthz``.
 SLO_SCHEMA = 1
@@ -73,6 +73,7 @@ class SLObjective:
         return 1.0 - self.target
 
     def is_bad(self, *, error: bool, duration_s: float) -> bool:
+        """The per-request rule the request rings count bad requests by."""
         if self.kind == "availability":
             return error
         assert self.threshold_s is not None
@@ -93,11 +94,31 @@ DEFAULT_OBJECTIVES = (
 )
 
 
-class SLOTracker:
-    """Feeds requests into per-objective windows and evaluates burn rates."""
+def request_windows(objectives=DEFAULT_OBJECTIVES,
+                    clock: Callable[[], float] = time.monotonic
+                    ) -> tuple[RequestWindow, RequestWindow]:
+    """The fast (60×1 s) and slow (60×60 s) rings ``objectives`` read.
 
-    def __init__(self, objectives=DEFAULT_OBJECTIVES,
-                 clock: Callable[[], float] = time.monotonic,
+    Each ring keeps an at-or-over count for every latency objective's
+    threshold, in objective order.
+    """
+    thresholds = tuple(o.threshold_s for o in objectives
+                       if o.kind == "latency")
+    return (RequestWindow(1.0, 60, clock, thresholds),
+            RequestWindow(60.0, 60, clock, thresholds))
+
+
+class SLOTracker:
+    """Evaluates burn rates over the request rings; owns no counters.
+
+    ``fast`` and ``slow`` are the 60×1 s and 60×60 s
+    :class:`~repro.obs.window.RequestWindow` rings the service records
+    every request into (see :func:`request_windows`).  The tracker reads
+    each objective's totals and bad counts from them and keeps only the
+    degrade/recover state.
+    """
+
+    def __init__(self, objectives, fast: RequestWindow, slow: RequestWindow,
                  fast_burn: float = FAST_BURN) -> None:
         if not objectives:
             raise ValueError("want at least one objective")
@@ -105,49 +126,28 @@ class SLOTracker:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate objective names: {names}")
         self.objectives = tuple(objectives)
+        self.fast = fast
+        self.slow = slow
         self.fast_burn = fast_burn
-        self._clock = clock
-        self._counts = {}
-        for obj in self.objectives:
-            self._counts[obj.name] = {
-                # (ring, kind) -> RollingCounter; fast = 60×1s, slow = 60×60s
-                ("fast", "total"): RollingCounter(
-                    "serve.slo.total", 1.0, 60, clock),
-                ("fast", "bad"): RollingCounter(
-                    "serve.slo.bad", 1.0, 60, clock),
-                ("slow", "total"): RollingCounter(
-                    "serve.slo.total", 60.0, 60, clock),
-                ("slow", "bad"): RollingCounter(
-                    "serve.slo.bad", 60.0, 60, clock),
-            }
+        # Where each objective's bad count sits in RequestWindow.totals():
+        # the error count (None), or its threshold's at-or-over count.
+        # ``index`` raises ValueError for a threshold the rings lack.
+        self._bad_at = {
+            o.name: None if o.kind == "availability"
+            else fast.thresholds.index(o.threshold_s)
+            for o in self.objectives}
         self._degraded: set[str] = set()
-
-    # -- ingest ---------------------------------------------------------------
-
-    def record(self, *, error: bool, duration_s: float,
-               now: float | None = None) -> None:
-        """Feed one finished request into every objective's windows."""
-        now = self._clock() if now is None else now
-        for obj in self.objectives:
-            bad = obj.is_bad(error=error, duration_s=duration_s)
-            counts = self._counts[obj.name]
-            for ring in ("fast", "slow"):
-                counts[(ring, "total")].inc(1.0, now=now)
-                if bad:
-                    counts[(ring, "bad")].inc(1.0, now=now)
 
     # -- evaluation -----------------------------------------------------------
 
-    def _burn(self, obj: SLObjective, window: tuple, now: float) -> dict:
-        _label, slow, last = window
-        ring = "slow" if slow else "fast"
-        counts = self._counts[obj.name]
-        total = counts[(ring, "total")].total(now=now, last=last)
-        bad = counts[(ring, "bad")].total(now=now, last=last)
+    def _burn(self, obj: SLObjective, totals: tuple) -> dict:
+        total, errors, over = totals
+        at = self._bad_at[obj.name]
+        bad = errors if at is None else over[at]
         bad_fraction = (bad / total) if total else 0.0
         return {
-            "total": int(total),
-            "bad": int(bad),
+            "total": total,
+            "bad": bad,
             "bad_fraction": round(bad_fraction, 6),
             "burn_rate": round(bad_fraction / obj.budget, 3),
         }
@@ -158,11 +158,14 @@ class SLOTracker:
         Pure read — no transition side effects; :meth:`evaluate` is the
         mutating entry point surfaces should call.
         """
-        now = self._clock() if now is None else now
+        now = self.fast.clock() if now is None else now
+        totals = {label: (self.slow if slow else self.fast).totals(now, last)
+                  for label, slow, last in _WINDOWS}
         objectives = {}
         degraded = []
         for obj in self.objectives:
-            windows = {w[0]: self._burn(obj, w, now) for w in _WINDOWS}
+            windows = {label: self._burn(obj, totals[label])
+                       for label in totals}
             is_degraded = (
                 windows["1m"]["burn_rate"] >= self.fast_burn
                 and windows["5m"]["burn_rate"] >= self.fast_burn)
@@ -188,7 +191,6 @@ class SLOTracker:
         Telemetry mirroring is lazy-imported and session-guarded, so the
         tracker works standalone (and in tests) with telemetry disabled.
         """
-        now = self._clock() if now is None else now
         state = self.state(now)
         from repro import obs
         from repro.obs import names

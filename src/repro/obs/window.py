@@ -1,17 +1,22 @@
-"""Rolling-window instruments: time-bucketed ring-buffer counters/histograms.
+"""Rolling request windows: one time-bucketed ring per timescale.
 
 The cumulative instruments in :mod:`repro.obs.metrics` answer "what
 happened since the process started"; a long-running service also needs
-"what is happening *now*".  These instruments slice time into fixed
-buckets arranged in a ring — by default 60 buckets, so a 1 s bucket
-width gives a 60 s window and a 60 s width gives a 1 h window — and
-lazily reclaim stale slots on write, so cost is O(1) per observation
+"what is happening *now*".  A :class:`RequestWindow` slices time into
+fixed buckets arranged in a ring — by default 60 buckets, so a 1 s
+bucket width gives a 60 s window and a 60 s width gives a 1 h window —
+and lazily reclaims stale slots on write, so cost is O(1) per request
 with zero background threads.
 
-:class:`RollingHistogram` reuses the power-of-two bin layout of
-:class:`repro.obs.metrics.Histogram` (same ``bin_index`` / ``bin_edges``
-math), so windowed p50/p95/p99 are directly comparable with the
-cumulative snapshot's quantiles, bucket for bucket.
+Each slot holds everything every reader needs about the requests that
+finished in it: the request count, the 5xx count, the count at or over
+each latency threshold, and the latency distribution in the
+power-of-two bin layout of :class:`repro.obs.metrics.Histogram` (same
+``bin_index`` / ``bin_edges`` math, so windowed p50/p95/p99 are directly
+comparable with the cumulative snapshot's quantiles, bucket for bucket).
+The ``/metrics`` windows block, the SLO burn rates
+(:mod:`repro.obs.slo`) and the dashboard all read the same slots, so a
+finished request is written once per timescale.
 
 Clocks are injectable (``time.monotonic`` by default) and every read
 method accepts an explicit ``now``, which is what lets tests inject an
@@ -24,172 +29,143 @@ import threading
 import time
 from typing import Callable
 
-from repro.obs.metrics import Histogram, check_metric_name
+from repro.obs import names
+from repro.obs.metrics import Histogram
 
 #: Schema version of the ``windows`` block served by ``/metrics``;
 #: bump on breaking changes (the serve benchmark is a tolerant reader).
 WINDOW_SCHEMA = 1
 
+# Slot layout: [epoch, requests, errors, over, bins, sum, min, max], where
+# ``over[i]`` counts requests with duration >= thresholds[i].
+_REQUESTS, _ERRORS, _OVER, _BINS, _SUM, _MIN, _MAX = range(1, 8)
 
-class _Ring:
-    """Shared slot management: a ring of ``buckets`` time slots.
+
+class RequestWindow:
+    """Finished requests over a trailing window of ``buckets`` slots.
 
     Slot ``epoch % buckets`` holds data for epoch ``floor(now /
     bucket_s)``; a slot whose stored epoch has fallen out of the live
-    window is reset on next use and skipped on reads.
+    window is reset on next use and skipped on reads.  ``thresholds``
+    are the latency thresholds (seconds) whose at-or-over counts each
+    slot keeps, one per latency objective.
     """
 
-    def __init__(self, bucket_s: float, buckets: int,
-                 clock: Callable[[], float]) -> None:
+    def __init__(self, bucket_s: float = 1.0, buckets: int = 60,
+                 clock: Callable[[], float] = time.monotonic,
+                 thresholds: tuple[float, ...] = ()) -> None:
         if bucket_s <= 0 or buckets < 2:
             raise ValueError(
                 f"want bucket_s > 0 and buckets >= 2, got "
                 f"bucket_s={bucket_s} buckets={buckets}")
         self.bucket_s = float(bucket_s)
         self.buckets = int(buckets)
-        self._clock = clock
+        self.thresholds = tuple(thresholds)
+        self.clock = clock
         self._created = clock()
         self._slots: list = [None] * self.buckets
         self._lock = threading.Lock()
 
-    @property
-    def window_s(self) -> float:
-        """Nominal window span in seconds."""
-        return self.bucket_s * self.buckets
+    # -- ingest ---------------------------------------------------------------
 
-    def _epoch(self, now: float) -> int:
-        return int(now // self.bucket_s)
+    def record(self, duration_s: float, error: bool,
+               now: float | None = None) -> None:
+        """Count one finished request in the slot for ``now``."""
+        if duration_s < 0:
+            raise ValueError(f"request duration {duration_s} is negative")
+        now = self.clock() if now is None else now
+        epoch = int(now // self.bucket_s)
+        idx = epoch % self.buckets
+        e = Histogram.bin_index(duration_s)
+        with self._lock:
+            slot = self._slots[idx]
+            if slot is None or slot[0] != epoch:
+                self._slots[idx] = slot = [
+                    epoch, 0, 0, [0] * len(self.thresholds), {}, 0.0,
+                    duration_s, duration_s]
+            slot[_REQUESTS] += 1
+            if error:
+                slot[_ERRORS] += 1
+            for i, threshold in enumerate(self.thresholds):
+                if duration_s >= threshold:
+                    slot[_OVER][i] += 1
+            bins = slot[_BINS]
+            bins[e] = bins.get(e, 0) + 1
+            slot[_SUM] += duration_s
+            if duration_s < slot[_MIN]:
+                slot[_MIN] = duration_s
+            elif duration_s > slot[_MAX]:
+                slot[_MAX] = duration_s
 
-    def _live(self, now: float, last: int | None = None) -> list:
-        """Live slot payloads, oldest first (a snapshot, not a view).
+    # -- read side ------------------------------------------------------------
+
+    def _aligned(self, now: float, last: int | None = None) -> list:
+        """One entry per bucket, oldest first: the slot, or ``None``.
 
         ``last`` restricts to the most recent ``last`` buckets — how the
-        SLO tracker carves a 5 m sub-window out of the 1 h ring.
+        SLO tracker carves a 5 m sub-window out of the 1 h ring.  The
+        caller holds the lock.
         """
         span = self.buckets if last is None else min(last, self.buckets)
-        cur = self._epoch(now)
+        cur = int(now // self.bucket_s)
         out = []
-        with self._lock:
-            for epoch in range(cur - span + 1, cur + 1):
-                slot = self._slots[epoch % self.buckets]
-                if slot is not None and slot[0] == epoch:
-                    out.append(slot)
+        for epoch in range(cur - span + 1, cur + 1):
+            slot = self._slots[epoch % self.buckets]
+            out.append(slot if slot is not None and slot[0] == epoch else None)
         return out
 
-    def span_s(self, now: float, last: int | None = None) -> float:
+    def span_s(self, now: float | None = None) -> float:
         """Effective averaging span: window size capped by lifetime.
 
         Rates divide by this, so a service two seconds old reports its
         actual rate instead of one diluted over an empty minute.
         """
-        span = self.buckets if last is None else min(last, self.buckets)
+        now = self.clock() if now is None else now
         alive = max(now - self._created, self.bucket_s)
-        return min(span * self.bucket_s, alive)
+        return min(self.buckets * self.bucket_s, alive)
 
-
-class RollingCounter(_Ring):
-    """A count over the trailing window."""
-
-    def __init__(self, name: str, bucket_s: float = 1.0, buckets: int = 60,
-                 clock: Callable[[], float] = time.monotonic) -> None:
-        super().__init__(bucket_s, buckets, clock)
-        self.name = check_metric_name(name)
-
-    def inc(self, n: float = 1.0, now: float | None = None) -> None:
-        if n < 0:
-            raise ValueError(f"rolling counter {self.name} cannot decrease")
-        now = self._clock() if now is None else now
-        epoch = self._epoch(now)
-        idx = epoch % self.buckets
+    def totals(self, now: float | None = None, last: int | None = None
+               ) -> tuple[int, int, tuple[int, ...]]:
+        """``(requests, errors, over)`` summed over the live window."""
+        now = self.clock() if now is None else now
+        requests = errors = 0
+        over = [0] * len(self.thresholds)
         with self._lock:
-            slot = self._slots[idx]
-            if slot is None or slot[0] != epoch:
-                self._slots[idx] = slot = [epoch, 0.0]
-            slot[1] += n
+            for slot in self._aligned(now, last):
+                if slot is None:
+                    continue
+                requests += slot[_REQUESTS]
+                errors += slot[_ERRORS]
+                for i, n in enumerate(slot[_OVER]):
+                    over[i] += n
+        return requests, errors, tuple(over)
 
-    def total(self, now: float | None = None,
-              last: int | None = None) -> float:
-        now = self._clock() if now is None else now
-        return sum(slot[1] for slot in self._live(now, last))
-
-    def rate(self, now: float | None = None,
-             last: int | None = None) -> float:
-        """Mean per-second rate over the live span."""
-        now = self._clock() if now is None else now
-        return self.total(now, last) / self.span_s(now, last)
-
-    def series(self, now: float | None = None) -> list[float]:
-        """Per-bucket totals, oldest to newest; stale buckets read 0."""
-        now = self._clock() if now is None else now
-        cur = self._epoch(now)
-        out = [0.0] * self.buckets
+    def merged(self, now: float | None = None) -> Histogram:
+        """A transient cumulative :class:`Histogram` of the live latencies."""
+        now = self.clock() if now is None else now
         with self._lock:
-            for i, epoch in enumerate(range(cur - self.buckets + 1, cur + 1)):
-                slot = self._slots[epoch % self.buckets]
-                if slot is not None and slot[0] == epoch:
-                    out[i] = slot[1]
-        return out
+            return _histogram(self._aligned(now))
 
-
-class RollingHistogram(_Ring):
-    """A power-of-two-binned distribution over the trailing window."""
-
-    def __init__(self, name: str, bucket_s: float = 1.0, buckets: int = 60,
-                 clock: Callable[[], float] = time.monotonic) -> None:
-        super().__init__(bucket_s, buckets, clock)
-        self.name = check_metric_name(name)
-
-    def observe(self, v: float, now: float | None = None) -> None:
-        now = self._clock() if now is None else now
-        epoch = self._epoch(now)
-        idx = epoch % self.buckets
-        e = Histogram.bin_index(v)
-        with self._lock:
-            slot = self._slots[idx]
-            if slot is None or slot[0] != epoch:
-                # [epoch, bins, count, sum, min, max]
-                self._slots[idx] = slot = [epoch, {}, 0, 0.0, None, None]
-            slot[1][e] = slot[1].get(e, 0) + 1
-            slot[2] += 1
-            slot[3] += v
-            slot[4] = v if slot[4] is None else min(slot[4], v)
-            slot[5] = v if slot[5] is None else max(slot[5], v)
-
-    def merged(self, now: float | None = None,
-               last: int | None = None) -> Histogram:
-        """A transient cumulative :class:`Histogram` over the live window."""
-        now = self._clock() if now is None else now
-        hist = Histogram(self.name)
-        for _epoch, bins, count, total, vmin, vmax in self._live(now, last):
-            for e, c in bins.items():
-                hist.bins[e] = hist.bins.get(e, 0) + c
-            hist.count += count
-            hist.sum += total
-            if vmin is not None:
-                hist.min = vmin if hist.min is None else min(hist.min, vmin)
-            if vmax is not None:
-                hist.max = vmax if hist.max is None else max(hist.max, vmax)
-        return hist
-
-    def summary(self, now: float | None = None,
-                last: int | None = None) -> dict:
+    def summary(self, now: float | None = None) -> dict:
         """The standard histogram summary (count/sum/mean/min/max/p*)."""
-        now = self._clock() if now is None else now
-        out = self.merged(now, last).summary()
+        out = self.merged(now).summary()
         out.pop("bins", None)  # window payloads stay compact
         return out
 
-    def series(self, now: float | None = None) -> list[int]:
-        """Per-bucket observation counts, oldest to newest."""
-        now = self._clock() if now is None else now
-        cur = self._epoch(now)
-        out = [0] * self.buckets
+    def _column(self, field: int, now: float | None) -> list[float]:
+        # Floats, as window_schema 1 has always served these series.
+        now = self.clock() if now is None else now
         with self._lock:
-            for i, epoch in enumerate(range(cur - self.buckets + 1, cur + 1)):
-                slot = self._slots[epoch % self.buckets]
-                if slot is not None and slot[0] == epoch:
-                    out[i] = slot[2]
-        return out
+            return [0.0 if slot is None else float(slot[field])
+                    for slot in self._aligned(now)]
+
+    def series(self, now: float | None = None) -> list[float]:
+        """Per-bucket request counts, oldest to newest; stale buckets 0."""
+        return self._column(_REQUESTS, now)
+
+    def error_series(self, now: float | None = None) -> list[float]:
+        """Per-bucket 5xx counts, oldest to newest; stale buckets 0."""
+        return self._column(_ERRORS, now)
 
     def bucket_quantiles(self, q: float,
                          now: float | None = None) -> list[float | None]:
@@ -197,19 +173,27 @@ class RollingHistogram(_Ring):
 
         The dashboard's tail-latency sparkline: one p99 per time bucket.
         """
-        now = self._clock() if now is None else now
-        cur = self._epoch(now)
-        out: list[float | None] = [None] * self.buckets
+        now = self.clock() if now is None else now
         with self._lock:
-            slots = list(self._slots)
-        for i, epoch in enumerate(range(cur - self.buckets + 1, cur + 1)):
-            slot = slots[epoch % self.buckets]
-            if slot is None or slot[0] != epoch or not slot[2]:
-                continue
-            hist = Histogram(self.name)
-            hist.bins = dict(slot[1])
-            hist.count = slot[2]
-            hist.sum = slot[3]
-            hist.min, hist.max = slot[4], slot[5]
-            out[i] = hist.quantile(q)
-        return out
+            hists = [None if slot is None else _histogram((slot,))
+                     for slot in self._aligned(now)]
+        return [None if h is None else h.quantile(q) for h in hists]
+
+
+def _histogram(slots) -> Histogram:
+    """The latency :class:`Histogram` of ``slots`` (``None`` entries skipped).
+
+    The caller holds the ring's lock.
+    """
+    hist = Histogram(names.WINDOW_LATENCY_SECONDS)
+    for slot in slots:
+        if slot is None:
+            continue
+        for e, c in slot[_BINS].items():
+            hist.bins[e] = hist.bins.get(e, 0) + c
+        hist.count += slot[_REQUESTS]
+        hist.sum += slot[_SUM]
+        vmin, vmax = slot[_MIN], slot[_MAX]
+        hist.min = vmin if hist.min is None else min(hist.min, vmin)
+        hist.max = vmax if hist.max is None else max(hist.max, vmax)
+    return hist

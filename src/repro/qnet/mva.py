@@ -282,41 +282,16 @@ def exact_mva(network: ClosedNetwork, population: int) -> MVAResult:
                      population, float(x[0]), residence[0], q[0], u[0])
 
 
-def exact_throughputs(demands: np.ndarray, is_queue: np.ndarray,
-                      scv: np.ndarray, populations: np.ndarray) -> np.ndarray:
-    """Throughputs of a batch of single-channel closed chains.
-
-    The fast-path entry used by the flow solver: rows are raw station
-    vectors (single-channel queueing and delay stations only — no
-    Seidmann expansion is applied), ``populations`` the per-chain
-    customer counts (>= 1).  Returns the per-chain throughput array.
-
-    Telemetry counts each row as one ``qnet.mva.exact.calls`` (a batch of
-    C chains does the work of C scalar solves) plus one
-    ``qnet.mva.exact.batches``, and times the recursion into the
-    ``latency.mva.batch_seconds`` histogram.
-    """
-    tel = _obs_state._active
-    if tel is None:
-        x, _, _, _ = _exact_recursion(demands, is_queue, scv, populations)
-        return x
-    with tel.metrics.timer(_names.LATENCY_MVA_BATCH_SECONDS):
-        x, _, _, _ = _exact_recursion(demands, is_queue, scv, populations)
-    reg = tel.metrics
-    reg.counter(_names.QNET_MVA_EXACT_CALLS).inc(len(populations))
-    reg.counter(_names.QNET_MVA_EXACT_ITERATIONS).inc(int(populations.sum()))
-    reg.counter(_names.QNET_MVA_EXACT_BATCHES).inc()
-    return x
-
-
 def exact_throughputs_cells(
         blocks: "list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]",
 ) -> list[np.ndarray]:
     """Fused multi-cell exact MVA over a ``[cell, chain, station]`` tensor.
 
     ``blocks`` holds one ``(demands, is_queue, scv, populations)`` tuple
-    per grid cell, each a ``[chain, station]`` batch as accepted by
-    :func:`exact_throughputs`.  Cells sharing a station width are
+    per grid cell, each a ``[chain, station]`` batch of raw station
+    vectors (single-channel queueing and delay stations only — no
+    Seidmann expansion is applied) with per-chain customer counts
+    ``populations`` (>= 1).  Cells sharing a station width are
     concatenated into a single ``[cell x chain, station]`` recursion —
     the fused tensor flattened along its first two axes, which is exact
     because every recursion operation is row-independent — while cells
@@ -437,7 +412,7 @@ def schweitzer_throughputs(demands: np.ndarray, is_queue: np.ndarray,
                            max_iter: int = 100_000) -> np.ndarray:
     """Batched Schweitzer AMVA throughputs on ``[chains, stations]`` rows.
 
-    The degraded counterpart of :func:`exact_throughputs` — same row
+    The degraded counterpart of :func:`exact_throughputs_cells` — same row
     layout (single-channel queueing and delay stations, padded rows
     allowed), O(iterations) independent of the populations, so the flow
     fixed point stays cheap when a chain's exact recursion is abandoned.

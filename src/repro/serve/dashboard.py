@@ -81,12 +81,12 @@ def _tiles(stats, slo: dict, uptime_s: float) -> str:
 
 def _charts(stats) -> str:
     xs_fast = list(range(-59, 1))
-    rate_fast = stats.requests_fast.series()
-    error_fast = stats.errors_fast.series()
+    rate_fast = stats.fast.series()
+    error_fast = stats.fast.error_series()
     p99s = [0.0 if q is None else q * 1e3
-            for q in stats.latency_fast.bucket_quantiles(0.99)]
+            for q in stats.fast.bucket_quantiles(0.99)]
     xs_slow = list(range(-59, 1))
-    rate_slow = [v / 60.0 for v in stats.requests_slow.series()]
+    rate_slow = [v / 60.0 for v in stats.slow.series()]
     charts = [
         line_chart(
             "Request rate (last 60 s)", xs_fast,

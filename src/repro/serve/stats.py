@@ -4,14 +4,14 @@ One :class:`ServiceTelemetry` lives on each
 :class:`repro.serve.http.PredictionServer` and is the single place a
 finished request is recorded.  Each :meth:`record` call feeds
 
-* the cumulative session metrics (``serve.requests`` total and per
-  ``status_class``, the ``serve.request_seconds`` timer) — when a
+* the cumulative session metrics (``serve.requests`` per
+  ``status_class`` and the ``serve.request_seconds`` timer) — when a
   telemetry session is active;
-* the rolling windows (:mod:`repro.obs.window`): request rate, error
-  rate and windowed latency quantiles over a fast 60×1 s ring and a
-  slow 60×1 m ring;
-* the SLO tracker (:mod:`repro.obs.slo`), whose burn rates drive the
-  ``degraded`` state on ``/healthz``;
+* two request rings (:mod:`repro.obs.window`), a fast 60×1 s one and a
+  slow 60×1 m one, each written once.  Their slots hold the request,
+  5xx and over-threshold counts and the latency bins that the
+  ``/metrics`` windows block, the SLO burn rates (:mod:`repro.obs.slo`,
+  driving ``degraded`` on ``/healthz``) and the dashboard all read;
 * a bounded ring of recent and slowest requests — each entry carrying
   its ``request_id`` and, for traced requests, the detached span tree
   — behind ``/debug/requests``.
@@ -24,14 +24,16 @@ streams.  The clock is injectable for tests.
 
 from __future__ import annotations
 
+import heapq
 import threading
 import time
+from collections import deque
 from typing import Callable
 
 from repro import obs
 from repro.obs import names
-from repro.obs.slo import DEFAULT_OBJECTIVES, SLOTracker
-from repro.obs.window import WINDOW_SCHEMA, RollingCounter, RollingHistogram
+from repro.obs.slo import DEFAULT_OBJECTIVES, SLOTracker, request_windows
+from repro.obs.window import WINDOW_SCHEMA
 
 #: How many recent / slowest requests ``/debug/requests`` retains.
 REQUEST_LOG_SIZE = 128
@@ -42,26 +44,37 @@ SLOW_REQUEST_S = 0.25
 
 
 class RequestLog:
-    """Bounded ring of recent requests plus a bounded slowest-N board."""
+    """Bounded ring of recent requests plus a bounded slowest-N board.
+
+    The board is a min-heap keyed on ``(duration_s, -seq)``: its root is
+    the entry a newcomer must beat — the fastest, and among equal
+    durations the latest — so :meth:`add` never sorts.  Read out, the
+    board runs slowest first, the earlier request first among ties.
+    """
 
     def __init__(self, size: int = REQUEST_LOG_SIZE) -> None:
         if size < 1:
             raise ValueError("request log size must be >= 1")
         self.size = size
         self.total = 0
-        self._recent: list[dict] = []
-        self._slowest: list[dict] = []
+        self._recent: deque[dict] = deque(maxlen=size)
+        self._slowest: list[tuple[float, int, dict]] = []
         self._lock = threading.Lock()
 
     def add(self, entry: dict) -> None:
         with self._lock:
             self.total += 1
             self._recent.append(entry)
-            if len(self._recent) > self.size:
-                self._recent.pop(0)
-            self._slowest.append(entry)
-            self._slowest.sort(key=lambda e: -e["duration_s"])
-            del self._slowest[self.size:]
+            # ``-total`` is unique, so the heap never compares entries.
+            item = (entry["duration_s"], -self.total, entry)
+            if len(self._slowest) < self.size:
+                heapq.heappush(self._slowest, item)
+            elif item > self._slowest[0]:
+                heapq.heapreplace(self._slowest, item)
+
+    def _board(self) -> list[dict]:
+        """The slowest board in read-out order; the caller holds the lock."""
+        return [item[2] for item in sorted(self._slowest, reverse=True)]
 
     def recent(self, limit: int | None = None) -> list[dict]:
         """Most recent requests, newest first."""
@@ -72,7 +85,7 @@ class RequestLog:
     def slowest(self, limit: int | None = None) -> list[dict]:
         """Slowest retained requests, slowest first."""
         with self._lock:
-            out = list(self._slowest)
+            out = self._board()
         return out[:limit] if limit else out
 
     def find(self, request_id: str) -> dict | None:
@@ -81,7 +94,7 @@ class RequestLog:
             for entry in reversed(self._recent):
                 if entry["request_id"] == request_id:
                     return entry
-            for entry in self._slowest:
+            for entry in self._board():
                 if entry["request_id"] == request_id:
                     return entry
         return None
@@ -96,17 +109,8 @@ class ServiceTelemetry:
                  slow_request_s: float = SLOW_REQUEST_S) -> None:
         self._clock = clock
         self.slow_request_s = slow_request_s
-        self.requests_fast = RollingCounter(
-            names.WINDOW_REQUESTS, 1.0, 60, clock)
-        self.requests_slow = RollingCounter(
-            names.WINDOW_REQUESTS, 60.0, 60, clock)
-        self.errors_fast = RollingCounter(names.WINDOW_ERRORS, 1.0, 60, clock)
-        self.errors_slow = RollingCounter(names.WINDOW_ERRORS, 60.0, 60, clock)
-        self.latency_fast = RollingHistogram(
-            names.WINDOW_LATENCY_SECONDS, 1.0, 60, clock)
-        self.latency_slow = RollingHistogram(
-            names.WINDOW_LATENCY_SECONDS, 60.0, 60, clock)
-        self.slo = SLOTracker(objectives, clock=clock)
+        self.fast, self.slow = request_windows(objectives, clock)
+        self.slo = SLOTracker(objectives, self.fast, self.slow)
         self.request_log = RequestLog(request_log_size)
         self._eval_epoch: int | None = None
 
@@ -123,24 +127,17 @@ class ServiceTelemetry:
         trustworthy denominators.
         """
         now = self._clock()
-        status_class = f"{status // 100}xx"
         error = status >= 500
 
-        obs.counter(names.SERVE_REQUESTS)
-        obs.counter(names.SERVE_REQUESTS, status_class=status_class)
         session = obs.session()
         if session is not None:
-            session.metrics.timer(
-                names.SERVE_REQUEST_SECONDS).observe(duration_s)
+            metrics = session.metrics
+            metrics.counter(names.SERVE_REQUESTS,
+                            status_class=f"{status // 100}xx").inc()
+            metrics.timer(names.SERVE_REQUEST_SECONDS).observe(duration_s)
 
-        self.requests_fast.inc(1.0, now=now)
-        self.requests_slow.inc(1.0, now=now)
-        if error:
-            self.errors_fast.inc(1.0, now=now)
-            self.errors_slow.inc(1.0, now=now)
-        self.latency_fast.observe(duration_s, now=now)
-        self.latency_slow.observe(duration_s, now=now)
-        self.slo.record(error=error, duration_s=duration_s, now=now)
+        self.fast.record(duration_s, error, now)
+        self.slow.record(duration_s, error, now)
 
         self.request_log.add({
             "request_id": request_id,
@@ -160,7 +157,7 @@ class ServiceTelemetry:
 
         # Re-evaluate SLO burn rates at most once per second: transition
         # events fire promptly under load without a per-request scan of
-        # 240 ring slots.
+        # the rings.
         epoch = int(now)
         if epoch != self._eval_epoch:
             self._eval_epoch = epoch
@@ -172,26 +169,21 @@ class ServiceTelemetry:
         """The ``windows`` block ``/metrics`` serves next to the snapshot."""
         now = self._clock() if now is None else now
         out: dict = {"window_schema": WINDOW_SCHEMA}
-        for label, requests, errors, latency in (
-                ("fast", self.requests_fast, self.errors_fast,
-                 self.latency_fast),
-                ("slow", self.requests_slow, self.errors_slow,
-                 self.latency_slow)):
-            total = requests.total(now=now)
-            errs = errors.total(now=now)
+        for label, ring in (("fast", self.fast), ("slow", self.slow)):
+            total, errs, _over = ring.totals(now)
             out[label] = {
-                "bucket_s": requests.bucket_s,
-                "buckets": requests.buckets,
+                "bucket_s": ring.bucket_s,
+                "buckets": ring.buckets,
                 names.WINDOW_REQUESTS: {
-                    "total": int(total),
-                    "rate_per_s": round(requests.rate(now=now), 3),
-                    "series": requests.series(now=now),
+                    "total": total,
+                    "rate_per_s": round(total / ring.span_s(now), 3),
+                    "series": ring.series(now),
                 },
                 names.WINDOW_ERRORS: {
-                    "total": int(errs),
+                    "total": errs,
                     "error_rate": round(errs / total, 6) if total else 0.0,
                 },
-                names.WINDOW_LATENCY_SECONDS: latency.summary(now=now),
+                names.WINDOW_LATENCY_SECONDS: ring.summary(now),
             }
         return out
 

@@ -153,3 +153,38 @@ class TestMMPP:
         x = p.sample_interarrivals(1000, rng)
         assert x.shape == (1000,)
         assert np.all(x >= 0)
+
+
+def _expanding_horizon_gaps(process, n, rng):
+    """The interarrival construction, spelled out independently."""
+    horizon = (n + 16) / process.mean_rate
+    while True:
+        times = process.arrival_times(horizon, rng)
+        if times.size >= n + 1:
+            return np.diff(times[: n + 1])
+        horizon *= 2.0
+
+
+class TestTimestampInterarrivals:
+    """OnOff and MMPP interarrivals draw exactly the seeded timestamps."""
+
+    @pytest.mark.parametrize("process,seed,doubles", [
+        (OnOffArrivals(on_rate=50.0, mean_on=0.2, mean_off=0.8), 7, True),
+        (OnOffArrivals(on_rate=50.0, mean_on=0.2, mean_off=0.8,
+                       heavy_tailed=False), 7, False),
+        (OnOffArrivals(on_rate=50.0, mean_on=0.2, mean_off=0.8,
+                       heavy_tailed=False), 8, True),
+        (MMPPArrivals(rates=[100.0, 0.0], mean_holding=[0.05, 0.5]), 7, True),
+    ])
+    def test_seeded_draws_equal_the_expanding_horizon_gaps(
+            self, process, seed, doubles):
+        n = 400
+        got = process.sample_interarrivals(n, np.random.default_rng(seed))
+        want = _expanding_horizon_gaps(process, n,
+                                       np.random.default_rng(seed))
+        assert got.shape == (n,)
+        assert np.array_equal(got, want)
+        # The case list covers both one-pass and doubled horizons.
+        first = process.arrival_times((n + 16) / process.mean_rate,
+                                      np.random.default_rng(seed))
+        assert (first.size < n + 1) == doubles

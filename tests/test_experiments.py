@@ -127,6 +127,35 @@ class TestCli:
 
         assert main(["table1", "--fast", "--seed", "3"]) == 0
 
+    @pytest.mark.parametrize("argv", [["nosuch"], ["profile", "nosuch"],
+                                      ["hotspots", "nosuch"]])
+    def test_unknown_experiment_is_a_one_line_error(self, capsys, argv):
+        from repro.cli import main
+
+        assert main(argv + ["--fast"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert "unknown experiment 'nosuch'" in lines[0]
+        assert "table1" in lines[0] and "fig5" in lines[0]
+
+    @pytest.mark.parametrize("flag", ["--trace", "--manifest", "--log"])
+    def test_output_into_missing_directory_rejected_before_the_run(
+            self, capsys, monkeypatch, tmp_path, flag):
+        import repro.experiments as experiments
+        from repro.cli import main
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(experiments, "run_experiments", must_not_run)
+        path = tmp_path / "missing" / "out.json"
+        assert main(["table2", "--fast", flag, str(path)]) == 2
+        assert main(["profile", "table2", "--fast", flag, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{flag} {path}: directory does not exist" in err
+
 
 class TestNewerExperiments:
     def test_fig1_fig2_structure(self):

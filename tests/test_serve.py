@@ -9,8 +9,8 @@ real ephemeral-port server.
 """
 
 import asyncio
-import dataclasses
 import json
+import random
 
 import pytest
 
@@ -19,6 +19,7 @@ from repro.core.predict import predict_workload
 from repro.obs import names as _names
 from repro.serve import PredictionServer, ServiceTelemetry, get_machine
 from repro.serve.service import handle_predict, handle_recommend
+from repro.serve.stats import RequestLog
 from repro.util.validation import ValidationError
 
 PREDICT_BODY = {"machine": "intel_uma", "program": "CG", "size": "C",
@@ -329,7 +330,8 @@ class TestHTTPEndpoints:
         assert "snapshot_schema" in metrics
         instruments = metrics["instruments"]
         assert instruments[_names.SERVE_PREDICTIONS]["value"] == 1
-        assert instruments[_names.SERVE_REQUESTS]["value"] == 1
+        key = _names.SERVE_REQUESTS + "{status_class=2xx}"
+        assert instruments[key]["value"] == 1
         assert health["status"] == "ok"
         assert health["telemetry"] is True
 
@@ -474,7 +476,9 @@ class TestRequestObservability:
 
         run_with_server(scenario)
         snap = tel.metrics.snapshot()
-        assert snap[_names.SERVE_REQUESTS]["value"] == 6
+        # Requests are counted per status class only; the classes sum
+        # to the request timer's count.
+        assert _names.SERVE_REQUESTS not in snap
         key = _names.SERVE_REQUESTS + "{status_class=%s}"
         assert snap[key % "4xx"]["value"] == 5
         assert snap[key % "2xx"]["value"] == 1
@@ -589,3 +593,38 @@ class TestRequestObservability:
             >= burning["slo"]["fast_burn_threshold"]
         assert recovered["status"] == "ok"
         assert recovered["slo"]["degraded_objectives"] == []
+
+
+class TestRequestLog:
+    @staticmethod
+    def _reference_slowest(durations, size):
+        """The board as a full stable sort keeps it."""
+        board: list = []
+        for i, d in enumerate(durations):
+            board.append((d, i))
+            board.sort(key=lambda item: -item[0])
+            del board[size:]
+        return [i for _, i in board]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_slowest_board_matches_a_stable_sort(self, seed):
+        rng = random.Random(seed)
+        # Few distinct values, so ties land on the eviction boundary.
+        durations = [rng.choice((0.001, 0.002, 0.003, 0.25))
+                     for _ in range(300)]
+        log = RequestLog(size=16)
+        for i, d in enumerate(durations):
+            log.add({"request_id": str(i), "duration_s": d})
+        got = [int(e["request_id"]) for e in log.slowest()]
+        assert got == self._reference_slowest(durations, 16)
+        assert [int(e["request_id"]) for e in log.recent()] == list(
+            range(299, 283, -1))
+
+    def test_equal_durations_keep_the_earlier_request_first(self):
+        log = RequestLog(size=3)
+        for rid in "abcde":
+            log.add({"request_id": rid, "duration_s": 0.5})
+        assert [e["request_id"] for e in log.slowest()] == ["a", "b", "c"]
+        assert [e["request_id"] for e in log.slowest(2)] == ["a", "b"]
+        assert log.find("a")["request_id"] == "a"   # only on the board
+        assert log.find("z") is None
