@@ -138,10 +138,8 @@ def reset_solver_caches() -> None:
     cold run of the same code.
     """
     from repro.perf import clear_caches
-    from repro.perf.keys import clear_memo
 
     clear_caches()
-    clear_memo()
 
 
 def generate_record(name: str, fast: bool = False,

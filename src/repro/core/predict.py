@@ -18,11 +18,11 @@ which is what makes a long-running service and the batch drivers
 interchangeable witnesses of the model.
 
 Every solve consults the content-addressed flow cache in
-:mod:`repro.perf`.  Once warm, a served prediction still runs
-:func:`calibrate_profile`, fingerprints the fresh profile for the
-``flow_key``, then does two flow-cache lookups (the cell and its
-baseline); the batch entry point :func:`predict_sweep` pools cold cells
-through the lock-step kernel exactly like the sweep drivers do.
+:mod:`repro.perf`.  Once warm, a served prediction is an
+interned-profile lookup (:func:`calibrate_profile`), then two
+flow-cache lookups (the cell and its baseline); the batch entry point
+:func:`predict_sweep` pools cold cells through the lock-step kernel
+exactly like the sweep drivers do.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ re-running the shadow fixed point.  Hit/miss/eviction counters are
 mirrored into the ``repro.obs`` telemetry session as
 ``perf.cache.flow.*``.
 
-Disable with ``REPRO_PERF_CACHE=0`` or :func:`set_enabled`.
+Disable with :func:`set_enabled`.
 """
 
 from repro.perf.cache import (

@@ -9,14 +9,12 @@ mirrored into the active telemetry session as
 records and run manifests show cache effectiveness alongside the
 solver-call counters it suppresses.
 
-Set ``REPRO_PERF_CACHE=0`` in the environment to disable the cache
-(used by the regression gate to measure the uncached baseline), or call
-:func:`set_enabled` / :func:`clear_caches` programmatically.
+Call :func:`set_enabled` to turn the cache off (uncached baselines)
+and :func:`clear_caches` to start cold.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 
@@ -136,12 +134,8 @@ class MemoCache:
             return key in self._data
 
 
-def _env_enabled() -> bool:
-    return os.environ.get("REPRO_PERF_CACHE", "1") not in ("0", "false", "")
-
-
 #: Full flow solutions; one entry per (machine, profile, active cores).
-flow_cache = MemoCache("flow", maxsize=4096, enabled=_env_enabled())
+flow_cache = MemoCache("flow", maxsize=4096)
 
 
 def set_enabled(flag: bool) -> None:

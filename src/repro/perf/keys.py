@@ -13,9 +13,9 @@ exact bit pattern — a cache hit is therefore guaranteed to correspond to
 a bit-identical solver input, which is what makes cached and uncached
 solves interchangeable.
 
-Fingerprints of immutable hot objects (machines, calibrated profiles)
-are memoized by object identity so the canonical walk happens once per
-object, not once per solve.
+The flow key's hot inputs — a shared preset machine, an interned
+calibrated profile — are frozen dataclasses that carry their own digest
+(:func:`cached_fingerprint`): one walk per object, not one per solve.
 """
 
 from __future__ import annotations
@@ -23,13 +23,6 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
-
-#: Identity-memo bound: entries hold strong references (keeping ``id()``
-#: values valid), so the memo is cleared wholesale when it fills up.
-_MEMO_MAX = 1024
-
-_fingerprint_memo: dict[int, tuple[object, str]] = {}
-
 
 def _tokens(obj: object, out: list[str]) -> None:
     """Append the canonical token stream of ``obj`` to ``out``."""
@@ -89,19 +82,20 @@ def fingerprint(obj: object) -> str:
 
 
 def cached_fingerprint(obj: object) -> str:
-    """Like :func:`fingerprint`, memoized by object identity.
+    """Like :func:`fingerprint`, kept on the object after the first walk.
 
-    Safe only for effectively-immutable objects (frozen dataclasses);
-    both hot callers — machines and calibrated profiles — qualify.
+    A dataclass instance stores the digest in its instance ``__dict__``,
+    outside the fields the walk reads; a ``dataclasses.replace`` copy
+    starts without one.  Other objects are walked on every call: the
+    walk reads their ``vars()``, a stored digest included.  Safe only
+    for frozen objects.
     """
-    key = id(obj)
-    hit = _fingerprint_memo.get(key)
-    if hit is not None and hit[0] is obj:
-        return hit[1]
-    digest = fingerprint(obj)
-    if len(_fingerprint_memo) >= _MEMO_MAX:
-        _fingerprint_memo.clear()
-    _fingerprint_memo[key] = (obj, digest)
+    if not (dataclasses.is_dataclass(obj) and hasattr(obj, "__dict__")):
+        return fingerprint(obj)
+    digest = obj.__dict__.get("_fingerprint")
+    if digest is None:
+        digest = fingerprint(obj)
+        object.__setattr__(obj, "_fingerprint", digest)
     return digest
 
 
@@ -122,8 +116,3 @@ def flow_key(profile, machine, alloc) -> str:
         cached_fingerprint(profile),
         str(alloc.n_active),
     ))
-
-
-def clear_memo() -> None:
-    """Drop the identity-memoized fingerprints (used by tests)."""
-    _fingerprint_memo.clear()

@@ -32,18 +32,19 @@ the analytical model's fit error — is emergent, not fitted.
 Calibration is pure but slow (seconds per triple), so results ship as a
 precomputed table (:mod:`repro.runtime.calibration_table`, regenerated
 with ``python -m repro calibrate``) and fall back to live computation for
-entries that are missing or stale.
+entries that are missing or stale.  Calibrated profiles are interned:
+equal inputs share one frozen profile, fingerprinted once.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 from repro import obs
 from repro.machine.allocation import CoreAllocation
 from repro.machine.topology import Machine, MemoryArchitecture
 from repro.obs import names as _names
+from repro.perf.keys import cached_fingerprint
 from repro.runtime.flow import solve_flow
 from repro.util.validation import ValidationError
 from repro.workloads import get_workload
@@ -238,9 +239,7 @@ def _solve_knobs_inner(program: str, size: str, mkey: str) -> dict[str, float]:
     return {"remote_penalty": penalty, "llc_misses": fit_r(penalty)}
 
 
-@functools.lru_cache(maxsize=None)
-def _calibrate_cached(program: str, size: str,
-                      mkey: str) -> tuple[tuple[str, float], ...]:
+def _knobs(program: str, size: str, mkey: str) -> dict[str, float]:
     """Knob values for one triple: shipped table first, else computed."""
     try:
         from repro.runtime.calibration_table import TABLE, VERSION
@@ -248,10 +247,10 @@ def _calibrate_cached(program: str, size: str,
         if VERSION == CALIBRATION_VERSION:
             entry = TABLE.get((program, size, mkey))
             if entry is not None:
-                return tuple(sorted(entry.items()))
+                return entry
     except ImportError:
         pass
-    return tuple(sorted(_solve_knobs(program, size, mkey).items()))
+    return _solve_knobs(program, size, mkey)
 
 
 def apply_knobs(profile: MemoryProfile,
@@ -269,21 +268,30 @@ def apply_knobs(profile: MemoryProfile,
     return profile
 
 
+#: Interned calibrated profiles by (program, size, machine fingerprint);
+#: ``machine_key`` alone would merge machines of different LLC sizes.
+#: Invalid inputs raise before the insert; a racing thread's insert wins.
+_profiles: dict[tuple[str, str, str], MemoryProfile] = {}
+
+
 def calibrate_profile(program: str, size: str,
                       machine: Machine) -> MemoryProfile:
     """The calibrated memory profile for (program, class) on ``machine``.
 
-    Profiles on machines without Table II anchors (custom machines, or
-    x264 everywhere) are returned as profiled.
+    Equal inputs return the same object.  Profiles on machines without
+    Table II anchors (custom machines, or x264 everywhere) are returned
+    as profiled.
     """
-    workload = get_workload(program)
-    profile = workload.profile(size, machine)
-    mkey = machine_key(machine)
     obs.counter(_names.CALIBRATION_PROFILE_LOOKUPS)
-    if (program, size, mkey) not in TABLE2:
+    key = (program, size, cached_fingerprint(machine))
+    profile = _profiles.get(key)
+    if profile is not None:
         return profile
-    knobs = dict(_calibrate_cached(program, size, mkey))
-    return apply_knobs(profile, knobs)
+    profile = get_workload(program).profile(size, machine)
+    mkey = machine_key(machine)
+    if (program, size, mkey) in TABLE2:
+        profile = apply_knobs(profile, _knobs(program, size, mkey))
+    return _profiles.setdefault(key, profile)
 
 
 def regenerate_table() -> dict[tuple[str, str, str], dict[str, float]]:

@@ -10,8 +10,8 @@ payload builders — extended with the rolling-window block and the SLO
 burn-rate state from the per-server
 :class:`~repro.serve.stats.ServiceTelemetry` — and every solve goes
 through the shared content-addressed flow cache in :mod:`repro.perf`: a
-warm prediction runs ``calibrate_profile``, the ``flow_key``
-fingerprint, then two flow-cache lookups.  Each request carries an
+warm prediction is an interned-profile lookup, then two flow-cache
+lookups.  Each request carries an
 ``X-Repro-Request-Id`` and a span tree retrievable via
 ``GET /debug/requests``; ``GET /dashboard`` renders a script-free
 inline-SVG live view.  See docs/SERVING.md.

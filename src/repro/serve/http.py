@@ -22,9 +22,9 @@ bytes; handler bodies run on a small thread pool (``run_in_executor``)
 under ``contextvars.copy_context()``, so spans the solver opens in a
 pool thread parent to the dispatching request's span instead of
 orphaning — that is what makes the ``/debug/requests`` trace trees
-complete.  A warm request runs ``calibrate_profile``, the ``flow_key``
-fingerprint, then two flow-cache lookups, which is what lets a single
-process clear the 1k-predictions/s bar in ``benchmarks/bench_serve.py``.
+complete.  A warm request is an interned-profile lookup, then two
+flow-cache lookups, which is what lets a single process clear the
+1k-predictions/s bar in ``benchmarks/bench_serve.py``.
 
 Every response path — including malformed-framing rejections — is
 recorded exactly once on the server's
@@ -56,7 +56,8 @@ from repro.serve.stats import ServiceTelemetry
 #: Largest accepted request body; predict/recommend bodies are tiny.
 MAX_BODY_BYTES = 1 << 20
 
-#: Largest accepted request head (request line + headers).
+#: Largest accepted request head (request line + headers); also the
+#: connection reader's limit, so a longer head gets its 400 too.
 _MAX_HEAD_BYTES = 1 << 14
 
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
@@ -65,6 +66,10 @@ _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
 
 _ENDPOINTS = ["/predict", "/recommend", "/metrics", "/healthz", "/events",
               "/debug/requests", "/dashboard"]
+
+#: ``Content-Length`` is ``1*DIGIT`` (RFC 9110 §8.6): no sign, no
+#: underscores, no padding beyond the optional whitespace around a field.
+_CONTENT_LENGTH_RE = re.compile(r"[0-9]+")
 
 #: Accepted shape of a client-supplied ``X-Repro-Request-Id``.
 _REQUEST_ID_RE = re.compile(r"^[A-Za-z0-9._-]{1,64}$")
@@ -106,7 +111,8 @@ class PredictionServer:
             max_workers=self._workers,
             thread_name_prefix="repro-serve-worker")
         self._server = await asyncio.start_server(
-            self._serve_connection, self.host, self.port)
+            self._serve_connection, self.host, self.port,
+            limit=_MAX_HEAD_BYTES)
         self.port = self._server.sockets[0].getsockname()[1]
         self._started_at = time.time()
         return self
@@ -161,7 +167,7 @@ class PredictionServer:
                 if not keep_alive:
                     break
         except (ConnectionError, asyncio.TimeoutError,
-                asyncio.IncompleteReadError, asyncio.LimitOverrunError):
+                asyncio.IncompleteReadError):
             pass
         finally:
             writer.close()
@@ -173,15 +179,16 @@ class PredictionServer:
     async def _serve_one(self, reader: asyncio.StreamReader,
                          writer: asyncio.StreamWriter) -> bool:
         """Frame and answer one request; returns keep-alive?"""
-        head = await asyncio.wait_for(
-            reader.readuntil(b"\r\n\r\n"), timeout=self.read_timeout_s)
-        t0 = time.perf_counter()
-        if len(head) > _MAX_HEAD_BYTES:
-            await self._finish(
-                writer, 400, {"error": "request head too large"}, close=True,
-                t0=t0, method="?", path="?", request_id=new_request_id())
-            return False
         try:
+            head = await asyncio.wait_for(
+                reader.readuntil(b"\r\n\r\n"), timeout=self.read_timeout_s)
+        except asyncio.LimitOverrunError:
+            # The reader's limit is _MAX_HEAD_BYTES (see start()).
+            head = None
+        t0 = time.perf_counter()
+        try:
+            if head is None:
+                raise ValueError("request head too large")
             method, path, headers = _parse_head(head)
         except ValueError as exc:
             await self._finish(
@@ -193,18 +200,20 @@ class PredictionServer:
             request_id = new_request_id()
         close = headers.get("connection", "").lower() == "close"
 
-        try:
-            length = int(headers.get("content-length", "0"))
-        except ValueError:
+        length_text = headers.get("content-length", "0")
+        if not _CONTENT_LENGTH_RE.fullmatch(length_text):
             await self._finish(
                 writer, 400, {"error": "malformed Content-Length"},
                 close=True, t0=t0, method=method, path=path,
                 request_id=request_id)
             return False
-        if length < 0 or length > MAX_BODY_BYTES:
+        # int() refuses over 4,300 digits; no such length fits anyway.
+        digits = length_text.lstrip("0") or "0"
+        length = int(digits) if len(digits) <= 18 else MAX_BODY_BYTES + 1
+        if length > MAX_BODY_BYTES:
             await self._finish(
                 writer, 413, {
-                    "error": f"body of {length} bytes exceeds the "
+                    "error": f"body of {digits} bytes exceeds the "
                              f"{MAX_BODY_BYTES}-byte limit"},
                 close=True, t0=t0, method=method, path=path,
                 request_id=request_id)
@@ -262,7 +271,9 @@ class PredictionServer:
         """
         try:
             body = json.loads(raw.decode("utf-8")) if raw else None
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError: bad UTF-8 or JSON, or an integer of over 4,300
+            # digits; RecursionError: arrays or objects nested too deep.
             return 400, {"error": f"request body is not JSON: {exc}"}, None
         if body is None:
             return 400, {"error": "request body must be a JSON object"}, None
@@ -328,7 +339,7 @@ def _parse_head(head: bytes) -> tuple[str, str, dict[str, str]]:
         name, sep, value = line.partition(":")
         if not sep:
             raise ValueError(f"malformed header line {line!r}")
-        headers[name.strip().lower()] = value.strip()
+        headers[name.strip().lower()] = value.strip(" \t")  # OWS only
     return method, path, headers
 
 

@@ -217,10 +217,8 @@ def _cold_solver_caches():
     # memoization layer; with hot caches the solvers never run, so the
     # profiler would see no qnet/runtime frames to attribute.
     from repro.perf import clear_caches
-    from repro.perf.keys import clear_memo
 
     clear_caches()
-    clear_memo()
 
 
 class TestHotspotsCLI:

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import perf
 from repro.machine import CoreAllocation, amd_numa, intel_numa, intel_uma
-from repro.perf.cache import MemoCache, _env_enabled
+from repro.perf.cache import MemoCache
 from repro.perf.keys import cached_fingerprint, fingerprint, flow_key
 from repro.runtime.flow import solve_flow
 from test_flow_properties import make_profile, profiles
@@ -125,15 +125,6 @@ class TestMemoCache:
         stats = cache.stats()
         assert stats["hits"] == 1 and stats["misses"] == 2
 
-    def test_env_switch(self, monkeypatch):
-        for off in ("0", "false", ""):
-            monkeypatch.setenv("REPRO_PERF_CACHE", off)
-            assert _env_enabled() is False
-        monkeypatch.setenv("REPRO_PERF_CACHE", "1")
-        assert _env_enabled() is True
-        monkeypatch.delenv("REPRO_PERF_CACHE")
-        assert _env_enabled() is True
-
 
 class TestThreadSafety:
     def test_threaded_get_put_preserves_invariants(self):
@@ -221,3 +212,29 @@ class TestFingerprints:
         # protocol must make them fingerprintable all the same.
         assert cached_fingerprint(inuma) == cached_fingerprint(inuma)
         assert cached_fingerprint(inuma) != cached_fingerprint(intel_uma())
+
+    def test_cached_digest_lives_on_the_object(self):
+        profile = make_profile()
+        digest = cached_fingerprint(profile)
+        assert profile.__dict__["_fingerprint"] == digest
+        # The stored digest is outside the fields: the walk, equality and
+        # the digest of an equal fresh object are all unchanged by it.
+        assert fingerprint(profile) == digest == fingerprint(make_profile())
+        assert profile == make_profile()
+
+    def test_with_misses_copy_gets_its_own_digest(self):
+        profile = make_profile()
+        cached_fingerprint(profile)
+        copy = profile.with_misses(2 * profile.llc_misses)
+        assert "_fingerprint" not in copy.__dict__
+        assert cached_fingerprint(copy) == fingerprint(copy)
+        assert copy.__dict__["_fingerprint"] != profile.__dict__["_fingerprint"]
+
+    def test_plain_objects_are_walked_not_stored(self):
+        class Plain:
+            def __init__(self) -> None:
+                self.value = 1.5
+
+        obj = Plain()
+        assert cached_fingerprint(obj) == cached_fingerprint(obj)
+        assert vars(obj) == {"value": 1.5}

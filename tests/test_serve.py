@@ -144,8 +144,13 @@ class TestRecommendHandler:
 
 async def http_request(host, port, method, path, body=None, *,
                        raw_bytes=None, close=True):
-    """One scripted HTTP exchange; returns (status, payload_dict)."""
+    """One scripted HTTP exchange; returns (status, payload_dict).
+
+    The server answers a rejected head without reading the rest of what
+    was sent, so its close may reset the connection after the response.
+    """
     reader, writer = await asyncio.open_connection(host, port)
+    data = b""
     try:
         if raw_bytes is not None:
             writer.write(raw_bytes)
@@ -156,7 +161,10 @@ async def http_request(host, port, method, path, body=None, *,
                     + ("Connection: close\r\n" if close else "") + "\r\n")
             writer.write(head.encode() + payload)
         await writer.drain()
-        data = await reader.read()
+        while chunk := await reader.read(65536):
+            data += chunk
+    except ConnectionResetError:
+        pass
     finally:
         writer.close()
         try:
@@ -352,6 +360,67 @@ class TestHTTPEndpoints:
             lambda server: http_request(server.host, server.port, "POST",
                                         "/predict", PREDICT_BODY))
         assert (status, served) == (direct_status, direct)
+
+
+def framed(raw: bytes):
+    """(status, payload, requests recorded) for one raw exchange."""
+    async def scenario(server):
+        status, payload = await http_request(server.host, server.port,
+                                             None, None, raw_bytes=raw)
+        return status, payload, server.stats.request_log.total
+
+    return run_with_server(scenario)
+
+
+class TestFraming:
+    @pytest.mark.parametrize("value", ["-1", "+62", "6_2", "\x0b62\x0b",
+                                       "62 62", "0x3e", ""])
+    def test_content_length_is_digits_only(self, value):
+        # RFC 9110: Content-Length = 1*DIGIT.  int() would accept a
+        # sign, underscores and non-OWS whitespace.
+        status, payload, recorded = framed(
+            (f"POST /predict HTTP/1.1\r\nContent-Length: {value}\r\n"
+             "\r\n").encode("latin-1"))
+        assert status == 400
+        assert payload["error"] == "malformed Content-Length"
+        assert recorded == 1
+
+    def test_whitespace_around_the_length_is_allowed(self):
+        body = json.dumps(PREDICT_BODY).encode()
+        status, payload, _ = framed(
+            f"POST /predict HTTP/1.1\r\nContent-Length: \t{len(body)}  "
+            "\r\nConnection: close\r\n\r\n".encode() + body)
+        assert status == 200 and payload["n_active"] == 4
+
+    def test_long_zero_padded_length_is_413(self):
+        status, payload, _ = framed(
+            ("POST /predict HTTP/1.1\r\nContent-Length: "
+             + "0" * 5000 + "9" * 30 + "\r\n\r\n").encode())
+        assert status == 413
+        assert payload["error"].startswith("body of " + "9" * 30 + " bytes")
+
+    @pytest.mark.parametrize("pad", [20_000, 70_000])
+    def test_oversized_head_is_400_and_recorded_once(self, pad):
+        # 70 KiB is past asyncio's default 64 KiB reader limit, which
+        # used to drop the connection unanswered and unrecorded.
+        status, payload, recorded = framed(
+            b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * pad + b"\r\n\r\n")
+        assert status == 400
+        assert payload["error"] == "request head too large"
+        assert recorded == 1
+
+    @pytest.mark.parametrize("body", [b"[" * 100_000,
+                                      b'{"n_active": ' + b"1" * 5000 + b"}"],
+                             ids=["deep-nesting", "5000-digit-int"])
+    def test_unparseable_json_is_400(self, body):
+        # Nesting past the recursion limit and integers of over 4,300
+        # digits raise outside JSONDecodeError.
+        status, payload, recorded = framed(
+            f"POST /predict HTTP/1.1\r\nContent-Length: {len(body)}\r\n"
+            "Connection: close\r\n\r\n".encode() + body)
+        assert status == 400
+        assert "not JSON" in payload["error"]
+        assert recorded == 1
 
 
 class FakeClock:
